@@ -16,6 +16,7 @@ from .errors import (
     AmbiguousStop,
     ConditionDViolation,
     IdenticalGerms,
+    InputTooLarge,
     InsufficientSizes,
     InsufficientTail,
     InternalConsistencyError,
@@ -25,6 +26,7 @@ from .errors import (
     NegativeRadius,
     NonConvergence,
     NotEnoughPoints,
+    RadiiMismatch,
     StructureInconsistency,
     VerificationFailed,
 )

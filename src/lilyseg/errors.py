@@ -17,6 +17,14 @@ class NegativeRadius(LilysegError):
     """A segment radius below zero was requested."""
 
 
+class RadiiMismatch(LilysegError):
+    """A radii assignment does not match its point set in length."""
+
+
+class InputTooLarge(LilysegError):
+    """A point set's dense pair tables would not fit in physical memory."""
+
+
 class InvalidIntensity(LilysegError):
     """Point-process intensity must be a positive finite number."""
 
@@ -50,7 +58,7 @@ class NonConvergence(InternalConsistencyError):
 
 
 class AlgorithmDivergence(InternalConsistencyError):
-    """Chain-chasing bookkeeping broke or disagreed with the fixed point."""
+    """Chain chasing exceeded its step budget."""
 
 
 class AmbiguousStop(InternalConsistencyError):

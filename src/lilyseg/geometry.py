@@ -5,8 +5,11 @@ direction in [0, pi).  Two distinct marked points determine growth
 distances: the times their segments, growing at unit rate about fixed
 midpoints, need to reach the intersection point of their carrier lines.
 This module computes those distances (scalar and all-pairs vectorized),
-realizes segments from solved radii, and provides the hard-core contact
-predicates used by the solvers and verifiers.
+realizes segments from solved radii, and holds the scalar contact
+predicates along with the :class:`PairTable` pair kernels that the solvers,
+the verifier and the structure analysis call: ``candidate_mask``,
+``admissible`` and ``stop_values`` (the stopping rule), ``stop_matches``
+(explained stops) and ``cover`` (the all-pairs contact test).
 
 Conventions
 -----------
@@ -22,21 +25,26 @@ Conventions
 from __future__ import annotations
 
 import math
+import os
 import threading
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import IdenticalGerms, NegativeRadius
+from .errors import IdenticalGerms, InputTooLarge, NegativeRadius
 
 #: Two directions are parallel when |sin(theta1 - theta2)| falls below this.
 PARALLEL_TOL = 1e-12
 
 #: Default relative tolerance for contact predicates.
 CONTACT_TOL = 1e-9
+
+# Peak bytes per ordered germ pair while a set is sampled and screened
+# (tracemalloc at n = 901 and n = 2026); sizes the guard in PairTable.
+_PAIR_BYTES = 84
 
 
 def fold_direction(angle: float) -> float:
@@ -242,6 +250,16 @@ class PairTable:
     def __init__(self, points: Sequence[MarkedPoint], angle_tol: float = PARALLEL_TOL):
         self.points = tuple(points)
         n = len(self.points)
+        need = n * n * _PAIR_BYTES
+        try:
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        except (AttributeError, ValueError, OSError):  # size unknown: no guard
+            memory = 0
+        if 0 < memory < need:
+            raise InputTooLarge(
+                f"{n} points need {need / 2**30:.1f} GiB of pair tables, "
+                f"more than the {memory / 2**30:.1f} GiB of physical memory"
+            )
         self.n = n
         self.x = np.array([p.x for p in self.points], dtype=float)
         self.y = np.array([p.y for p in self.points], dtype=float)
@@ -286,10 +304,7 @@ class PairTable:
             self.collinear = collinear
 
         self._condition_reports: dict = {}
-
-    @property
-    def dT(self) -> np.ndarray:
-        return self.d.T
+        self._masks: dict = {}
 
     @property
     def m(self) -> np.ndarray:
@@ -301,13 +316,56 @@ class PairTable:
 
         Model 1 admits pairs whose own arrival is the later one
         (``d[i, j] > d[j, i]``, finite); Model 2 admits every pair with a
-        finite later-arrival time.
+        finite later-arrival time, which is ``isfinite(d)``: finiteness of
+        ``d`` is symmetric and its diagonal is ``inf``.  Built once per
+        table and model.
         """
-        if model == 1:
-            return np.isfinite(self.d) & (self.d > self.d.T)
-        if model == 2:
-            return np.isfinite(self.m) & ~np.eye(self.n, dtype=bool)
-        raise ValueError(f"model must be 1 or 2, got {model}")
+        if model not in (1, 2):
+            raise ValueError(f"model must be 1 or 2, got {model}")
+        if model not in self._masks:
+            finite = np.isfinite(self.d)
+            self._masks[model] = finite & (self.d > self.d.T) if model == 1 else finite
+        return self._masks[model]
+
+    def stop_values(self, model: int) -> np.ndarray:
+        """Radius at which ``i`` stops on ``j``: ``d`` in Model 1, ``m`` in Model 2."""
+        return self.d if model == 1 else self.m
+
+    def admissible(self, radii: np.ndarray, model: int, tol: float = 0.0) -> np.ndarray:
+        """Mask of candidate ``(i, j)`` whose ``j`` reaches the meeting point.
+
+        The reach rule is ``radii[j] > d[j, i]`` in Model 1 and ``>=`` in
+        Model 2, with ``d[j, i]`` shrunk by the relative slack ``tol``.
+        """
+        need = self.d.T * (1.0 - tol)
+        reach = radii[None, :] > need if model == 1 else radii[None, :] >= need
+        return self.candidate_mask(model) & reach
+
+    def stop_matches(self, radii: np.ndarray, model: int, tol: float) -> np.ndarray:
+        """Mask of admissible ``(i, j)`` whose stop value is ``radii[i]`` within ``tol``."""
+        ri = radii[:, None]
+        admissible = self.admissible(radii, model, tol)
+        with np.errstate(invalid="ignore"):
+            return admissible & (np.abs(self.stop_values(model) - ri) <= tol * np.maximum(ri, 1.0))
+
+    def cover(self, radii: np.ndarray, strict: bool, tol: float) -> List[Tuple[int, int]]:
+        """Pairs ``(i, j)``, ``i < j``, whose segments share a point.
+
+        The all-pairs form of :func:`relative_interiors_intersect`
+        (``strict``) or :func:`segments_touch`, in row-major order.
+        """
+        ri = radii[:, None]
+        less = np.less if strict else np.less_equal
+        scale = 1.0 - tol if strict else 1.0 + tol
+        with np.errstate(invalid="ignore"):
+            # Infinite radii cover every finite distance, interior included.
+            cover_i = np.where(np.isinf(ri), np.isfinite(self.d), less(self.d, ri * scale))
+            hit = self.transversal & cover_i & cover_i.T
+            if self.collinear.any():
+                reach = ri + radii[None, :]
+                hit |= self.collinear & (np.isinf(reach) | less(self.d + self.d.T, reach * scale))
+        hi, hj = np.nonzero(np.triu(hit, k=1))
+        return list(zip(hi.tolist(), hj.tolist()))
 
 
 _table_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

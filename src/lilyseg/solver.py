@@ -37,7 +37,9 @@ import numpy as np
 
 from .errors import (
     AlgorithmDivergence,
+    NegativeRadius,
     NonConvergence,
+    RadiiMismatch,
     VerificationFailed,
 )
 from .geometry import PairTable, shared_pair_table
@@ -118,17 +120,10 @@ class ChainTrace:
 
 def _operator(table: PairTable, model: int, f: np.ndarray) -> np.ndarray:
     """Apply the model's stopping operator to an assignment array."""
-    n = table.n
-    if n == 0:
+    if table.n == 0:
         return f.copy()
-    mask = table.candidate_mask(model)
-    if model == 1:
-        ok = mask & (f[None, :] > table.dT)
-        values = table.d
-    else:
-        ok = mask & (f[None, :] >= table.dT)
-        values = table.m
-    return np.min(values, axis=1, where=ok, initial=np.inf)
+    ok = table.admissible(f, model)
+    return np.min(table.stop_values(model), axis=1, where=ok, initial=np.inf)
 
 
 def apply_t1(f: RadiiAssignment, point_set: MarkedPointSet) -> RadiiAssignment:
@@ -220,7 +215,6 @@ class _ChainState:
     """
 
     def __init__(self, table: PairTable, model: int):
-        self.table = table
         self.model = model
         self.d = table.d
         n = table.n
@@ -228,8 +222,7 @@ class _ChainState:
         self.stop: List[Optional[int]] = [None] * n
         self.deleted: List[set] = [set() for _ in range(n)]
         self.steps = 0
-        values = table.d if model == 1 else table.m
-        masked = np.where(table.candidate_mask(model), values, np.inf) if n else np.zeros((0, 0))
+        masked = np.where(table.candidate_mask(model), table.stop_values(model), np.inf)
         self._order = np.argsort(masked, axis=1, kind="stable")
         self._sorted_values = np.take_along_axis(masked, self._order, axis=1)
         self._cursor = [0] * n
@@ -345,8 +338,8 @@ def solve_chain(
     With ``start`` given, the first trace follows that point's chain to its
     terminal (an infinite segment or a closed cycle); remaining indices are
     then resolved in index order so the returned assignment is always
-    complete.  The assignment is cross-checked against the fixed-point
-    solver entry for entry, which is the ground truth.
+    complete.  The result is verified before being returned; on a generic
+    set, operator idempotence pins down the unique fixed point.
     """
     table = require_condition_d(point_set)
     n = table.n
@@ -367,10 +360,6 @@ def solve_chain(
         traces.append(_trace_from(state, s, step_budget))
     radii = state.radii.copy()
     radii[np.isnan(radii)] = np.inf  # isolated indices never visited
-
-    reference, _ = _solve_fixed_point_array(table, model)
-    if not np.array_equal(radii, reference):
-        raise AlgorithmDivergence("chain solution disagrees with the fixed point")
     solution = Solution(point_set, model, RadiiAssignment.from_array(radii), METHOD_CHAIN, state.steps)
     _require_verified(solution, table)
     return solution, traces
@@ -470,52 +459,15 @@ class VerificationReport:
 
 
 def _verify_with_table(table: PairTable, radii: np.ndarray, model: int, tol: float) -> VerificationReport:
-    n = table.n
-    d = table.d
-    dT = table.dT
-    ri = radii[:, None]
-    rj = radii[None, :]
-
-    with np.errstate(invalid="ignore"):
-        # Hard core: strict interior coverage from both sides at the carrier
-        # intersection (transversal) or summed reach beyond the germ gap
-        # (collinear).  Infinite radii cover every finite distance.
-        cover_i = np.where(np.isinf(ri), np.isfinite(d), d < ri * (1.0 - tol))
-        cover_j = np.where(np.isinf(rj), np.isfinite(dT), dT < rj * (1.0 - tol))
-        overlap = table.transversal & cover_i & cover_j
-        if table.collinear.any():
-            gap = d + dT  # germ separation on the common carrier
-            reach = ri + rj
-            col_overlap = table.collinear & (
-                np.isinf(reach) | (gap < reach * (1.0 - tol))
-            )
-            overlap |= col_overlap
-        hi, hj = np.nonzero(np.triu(overlap, k=1))
-        hard = tuple(zip(hi.tolist(), hj.tolist()))
-
-        finite = np.isfinite(radii)
-        if model == 1:
-            value = d
-            admissible = table.candidate_mask(1) & (rj > dT * (1.0 - tol))
-        else:
-            value = table.m
-            admissible = table.candidate_mask(2) & (rj >= dT * (1.0 - tol))
-        matches = admissible & (np.abs(value - ri) <= tol * np.maximum(ri, 1.0))
-        explained = matches.any(axis=1) if n else np.zeros(0, dtype=bool)
-        growth = tuple(int(i) for i in np.nonzero(finite & ~explained)[0])
+    hard = tuple(table.cover(radii, strict=True, tol=tol))
+    explained = table.stop_matches(radii, model, tol).any(axis=1)
+    growth = tuple(int(i) for i in np.nonzero(np.isfinite(radii) & ~explained)[0])
 
     mapped = _operator(table, model, radii)
-    same_inf = np.isinf(mapped) & np.isinf(radii)
-    both_finite = np.isfinite(mapped) & np.isfinite(radii)
-    close = np.zeros(n, dtype=bool)
-    close[same_inf] = True
-    if both_finite.any():
-        close[both_finite] = np.abs(mapped[both_finite] - radii[both_finite]) <= tol * np.maximum(
-            radii[both_finite], 1.0
-        )
-    dev = tuple(
-        (int(i), float(radii[i]), float(mapped[i])) for i in np.nonzero(~close)[0]
-    )
+    with np.errstate(invalid="ignore"):
+        near = np.abs(mapped - radii) <= tol * np.maximum(radii, 1.0)
+    close = (np.isinf(mapped) & np.isinf(radii)) | (np.isfinite(mapped) & np.isfinite(radii) & near)
+    dev = tuple((int(i), float(radii[i]), float(mapped[i])) for i in np.nonzero(~close)[0])
     return VerificationReport(model, tol, hard, growth, dev)
 
 
@@ -530,7 +482,10 @@ def verify_gmhs(
     Failures are report content, not exceptions; ``report.passes`` holds
     iff all three checks are clean.  Unlike the solvers, verification does
     not require genericity, so it also applies to perturbed assignments.
+    Raises :class:`RadiiMismatch` when ``radii`` and ``point_set`` differ
+    in length.
     """
+    _require_matching(point_set, radii)
     table = shared_pair_table(point_set)
     return _verify_with_table(table, radii.to_array(), model, tol)
 
@@ -620,11 +575,21 @@ def solution_to_json(solution: Solution) -> dict:
     }
 
 
+def _require_matching(point_set: MarkedPointSet, radii: RadiiAssignment) -> None:
+    if len(radii) != len(point_set):
+        raise RadiiMismatch(f"{len(radii)} radii for {len(point_set)} points")
+
+
 def solution_from_json(obj: dict) -> Solution:
+    """Parse a solution payload; raises :class:`RadiiMismatch` or :class:`NegativeRadius`."""
     point_set = realization_from_json(obj["realization"])
     radii = RadiiAssignment(
         tuple(math.inf if r == "inf" else float(r) for r in obj["radii"])
     )
+    _require_matching(point_set, radii)
+    bad = [r for r in radii if not r >= 0.0]
+    if bad:
+        raise NegativeRadius(f"radius must be in [0, inf], got {bad[0]}")
     return Solution(
         point_set,
         int(obj["model"]),

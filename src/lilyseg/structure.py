@@ -4,8 +4,9 @@ A solved system induces a functional graph: every finite-radius segment
 has exactly one stopping neighbour.  Clusters are the components of the
 undirected version of that graph; Model 1 closes finite clusters with a
 cycle of length at least three, Model 2 with a mutual pair of equal radii
-(a doublet).  Contact edges derived from the stopping relation are checked
-against the raw closed-segment touch predicate on every analysis, so the
+(a doublet).  Stops come from ``PairTable.stop_matches``.  Contact edges
+derived from the stopping relation are checked against the closed-segment
+contact test ``PairTable.cover(strict=False)`` on every analysis, so the
 two cluster notions (touching vs. stopping) are asserted to coincide
 rather than assumed.
 """
@@ -49,27 +50,13 @@ class StoppingMap:
 def stopping_map(solution: Solution, tol: float = 1e-9) -> StoppingMap:
     """Identify the unique stopping neighbour of every finite-radius index.
 
-    Model 1 matches ``R_i`` against admissible ``d[i, j]`` with
-    ``R_j > d[j, i]``; Model 2 against later arrivals with
-    ``R_j >= d[j, i]``.  Exactly one index may realize each stop; several
-    matches within tolerance signal a genericity near-tie and raise
-    :class:`AmbiguousStop`.
+    Candidates come from ``PairTable.stop_matches``.  Exactly one index may
+    realize each stop; several matches within tolerance signal a genericity
+    near-tie and raise :class:`AmbiguousStop`.
     """
     table = shared_pair_table(solution.point_set)
     radii = solution.radii.to_array()
-    n = table.n
-    if n == 0:
-        return StoppingMap(())
-    ri = radii[:, None]
-    rj = radii[None, :]
-    with np.errstate(invalid="ignore"):
-        if solution.model == 1:
-            admissible = table.candidate_mask(1) & (rj > table.dT * (1.0 - tol))
-            value = table.d
-        else:
-            admissible = table.candidate_mask(2) & (rj >= table.dT * (1.0 - tol))
-            value = table.m
-        matches = admissible & (np.abs(value - ri) <= tol * np.maximum(ri, 1.0))
+    matches = table.stop_matches(radii, solution.model, tol)
     stops: List[Tuple[int, int]] = []
     for i in np.nonzero(np.isfinite(radii))[0].tolist():
         js = np.nonzero(matches[i])[0]
@@ -117,22 +104,6 @@ class StructureReport:
         }
 
 
-def _touch_edges(table, radii: np.ndarray, tol: float) -> set:
-    """Closed-segment contacts over all pairs, from the distance table."""
-    ri = radii[:, None]
-    rj = radii[None, :]
-    with np.errstate(invalid="ignore"):
-        cover_i = np.where(np.isinf(ri), np.isfinite(table.d), table.d <= ri * (1.0 + tol))
-        cover_j = np.where(np.isinf(rj), np.isfinite(table.dT), table.dT <= rj * (1.0 + tol))
-        touch = table.transversal & cover_i & cover_j
-        if table.collinear.any():
-            gap = table.d + table.dT
-            reach = ri + rj
-            touch |= table.collinear & (np.isinf(reach) | (gap <= reach * (1.0 + tol)))
-    ti, tj = np.nonzero(np.triu(touch, k=1))
-    return set(zip(ti.tolist(), tj.tolist()))
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -174,9 +145,9 @@ def analyze(solution: Solution, tol: float = 1e-9) -> StructureReport:
     """Full structural decomposition of a solved system.
 
     Contact edges come from the stopping relation (each finite segment
-    touches its stopper); they are asserted to agree with the raw
-    closed-segment touch predicate, which guards against tolerance-induced
-    phantom contacts as well as missed ones.  Cluster invariants (one cycle
+    touches its stopper); they are asserted to agree with the closed-segment
+    contact test ``PairTable.cover(strict=False)``, which guards against
+    tolerance-induced phantom contacts as well as missed ones.  Cluster invariants (one cycle
     or doublet per all-finite cluster, none alongside an infinite member)
     are asserted and raise :class:`StructureInconsistency` when broken.
     """
@@ -186,7 +157,7 @@ def analyze(solution: Solution, tol: float = 1e-9) -> StructureReport:
     n = len(radii)
 
     edges = {(min(i, j), max(i, j)) for i, j in stops.items()}
-    touched = _touch_edges(table, radii, tol)
+    touched = set(table.cover(radii, strict=False, tol=tol))
     if touched != edges:
         extra = sorted(touched - edges)
         missing = sorted(edges - touched)

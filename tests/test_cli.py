@@ -142,6 +142,32 @@ class TestAnalyzeRender:
         assert "seg-hl" in out.read_text()
 
 
+class TestMalformedSolution:
+    @pytest.mark.parametrize("command", ["analyze", "render"])
+    @pytest.mark.parametrize(
+        "radii",
+        [[4.0], [4.0, "inf", 1.0], [-4.0, "inf"], [float("nan"), "inf"]],
+        ids=["short", "long", "negative", "nan"],
+    )
+    def test_exits_2_with_error_line(self, tmp_path, capsys, command, radii):
+        realization = {
+            "schema_version": "1",
+            "seed": None,
+            "lambda": None,
+            "window": None,
+            "points": [
+                {"x": 0.0, "y": 0.0, "theta": 0.0},
+                {"x": 3.0, "y": 4.0, "theta": math.pi / 2},
+            ],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"schema_version": "1", "model": 1, "realization": realization, "radii": radii})
+        )
+        assert run([command, "--in", path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestMc:
     def test_estimates_csv(self, tmp_path):
         out_dir = tmp_path / "mc"

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from lilyseg import (
     IdenticalGerms,
+    InputTooLarge,
     MarkedPoint,
+    MarkedPointSet,
     NegativeRadius,
     PairKind,
     fold_direction,
@@ -16,7 +20,8 @@ from lilyseg import (
     relative_interiors_intersect,
     segments_touch,
 )
-from lilyseg.geometry import PairTable
+from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable
+from lilyseg.pointprocess import check_condition_d
 
 HALF_PI = math.pi / 2
 
@@ -172,6 +177,76 @@ class TestContactPredicates:
         s2 = realize_segment(mp(2, 0, 0.0), 1.0)
         assert segments_touch(s1, s2)
         assert not relative_interiors_intersect(s1, s2)
+
+
+@st.composite
+def adversarial_pairs(draw):
+    """Two marked points: generic, near-parallel or near-collinear.
+
+    Near-parallel directions differ by just below or just above
+    ``PARALLEL_TOL``; near-collinear germs sit on the first carrier line up
+    to a perpendicular offset around the collinearity threshold.  Both
+    points may be shifted by 1e6 to stress large coordinates.
+    """
+    base = draw(st.sampled_from([0.0, 1e6]))
+    x0, y0, theta0 = base + draw(coords), base + draw(coords), draw(angles)
+    kind = draw(st.sampled_from(["generic", "near_parallel", "near_collinear"]))
+    if kind == "generic":
+        return mp(x0, y0, theta0), mp(base + draw(coords), base + draw(coords), draw(angles))
+    delta = draw(st.sampled_from([0.5, 0.9, 1.1, 2.0, -0.9, -1.1])) * PARALLEL_TOL
+    theta1 = fold_direction(theta0 + delta)
+    if kind == "near_parallel":
+        return mp(x0, y0, theta0), mp(base + draw(coords), base + draw(coords), theta1)
+    t = draw(st.floats(min_value=0.5, max_value=100.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    off = draw(st.sampled_from([0.0, 1e-14, 1e-12, 1e-9, 1e-3]))
+    ux, uy = math.cos(theta0), math.sin(theta0)
+    return mp(x0, y0, theta0), mp(x0 + t * ux - off * uy, y0 + t * uy + off * ux, theta1)
+
+
+radius_picks = st.one_of(
+    st.tuples(st.just("fixed"), st.just(math.inf) | st.floats(min_value=0.0, max_value=200.0)),
+    st.tuples(
+        st.just("scaled"),
+        st.sampled_from([1.0 - 2e-9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 0.5, 2.0]),
+    ),
+)
+
+
+def _radius(pick, dist):
+    """A drawn radius: as drawn, or a factor near 1 times the growth distance."""
+    how, value = pick
+    return value * dist if how == "scaled" and math.isfinite(dist) else value
+
+
+@given(adversarial_pairs(), radius_picks, radius_picks)
+@settings(max_examples=400)
+def test_table_cover_matches_scalar_predicates(pair, pick_a, pick_b):
+    a, b = pair
+    if (a.x, a.y) == (b.x, b.y):
+        return
+    pg = pair_geometry(a, b)
+    radii = np.array([_radius(pick_a, pg.d_ab), _radius(pick_b, pg.d_ba)])
+    sa, sb = realize_segment(a, radii[0]), realize_segment(b, radii[1])
+    table = PairTable((a, b))
+    for strict, scalar in ((True, relative_interiors_intersect), (False, segments_touch)):
+        expected = [(0, 1)] if scalar(sa, sb, CONTACT_TOL) else []
+        assert table.cover(radii, strict=strict, tol=CONTACT_TOL) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory size unavailable")
+def test_oversized_set_raises_before_allocating():
+    # 200,000 germs would need about 3.4 TB of pair tables.
+    points = [mp(float(k % 500), float(k // 500), 0.25) for k in range(200_000)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputTooLarge):
+            PairTable(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    with pytest.raises(InputTooLarge):
+        check_condition_d(MarkedPointSet(points))
 
 
 def test_fold_direction():

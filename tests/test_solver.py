@@ -2,22 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lilyseg import (
     ConditionDViolation,
     MarkedPoint,
     MarkedPointSet,
     RadiiAssignment,
+    RadiiMismatch,
     Rectangle,
+    TwoAtomMarks,
     apply_t1,
     apply_t2,
+    check_condition_d,
     find_descending_chain,
+    fold_direction,
     sample_poisson,
     solve_chain,
     solve_fixed_point,
     solve_greedy_oracle,
     verify_gmhs,
 )
+from lilyseg.geometry import PARALLEL_TOL
 from lilyseg.solver import (
     read_solution,
     solution_to_json,
@@ -182,6 +189,43 @@ class TestThreeWayAgreement:
             assert np.allclose(a[finite], c[finite], rtol=1e-9, atol=0.0)
 
 
+@st.composite
+def screened_sets(draw):
+    """Sets of 0-12 uniform germs that pass the genericity screen.
+
+    Marks are uniform, two-atom (:class:`TwoAtomMarks`), or two-atom with
+    each direction nudged by a multiple of ``PARALLEL_TOL`` just below or
+    above the parallel threshold.
+    """
+    n = draw(st.sampled_from(range(13)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    side = draw(st.sampled_from([3.0, 8.0]))
+    germs = rng.uniform(0.0, side, (n, 2))
+    style = draw(st.sampled_from(["uniform", "two_atom", "near_parallel"]))
+    if style == "uniform":
+        thetas = rng.uniform(0.0, math.pi, n)
+    else:
+        atom = st.floats(min_value=0.0, max_value=math.pi, exclude_max=True)
+        marks = TwoAtomMarks(draw(atom), draw(atom), draw(st.floats(min_value=0.1, max_value=0.9)))
+        thetas = marks.sample(rng, n)
+        if style == "near_parallel":
+            nudge = rng.choice([-2.0, -1.1, -0.9, 0.0, 0.9, 1.1, 2.0], n) * PARALLEL_TOL
+            thetas = np.array([fold_direction(t) for t in thetas + nudge])
+    mps = MarkedPointSet(
+        tuple(MarkedPoint(float(x), float(y), float(t)) for (x, y), t in zip(germs, thetas))
+    )
+    assume(check_condition_d(mps).passes)
+    return mps
+
+
+@given(screened_sets(), st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_three_solvers_agree_exactly_on_screened_sets(mps, model):
+    fixed = solve_fixed_point(mps, model).radii.to_array()
+    assert np.array_equal(solve_chain(mps, model)[0].radii.to_array(), fixed)
+    assert np.array_equal(solve_greedy_oracle(mps, model).radii.to_array(), fixed)
+
+
 class TestLaws:
     def test_two_point_law(self):
         # Any transversal pair: one infinite segment, the other of radius m.
@@ -289,6 +333,11 @@ class TestVerification:
         assert not report.passes
         assert 0 in report.growth_maximal_violations
         assert any(i == 0 for i, _, _ in report.fixed_point_deviations)
+
+    def test_length_mismatch_is_typed(self, f3):
+        for values in ((4.0, INF), (4.0, INF, 1.0, 1.0)):
+            with pytest.raises(RadiiMismatch):
+                verify_gmhs(f3, RadiiAssignment(values), 1)
 
     @pytest.mark.parametrize("model", [1, 2])
     def test_random_planted_perturbations_rejected(self, model):
