@@ -42,9 +42,15 @@ PARALLEL_TOL = 1e-12
 #: Default relative tolerance for contact predicates.
 CONTACT_TOL = 1e-9
 
-# Peak bytes per ordered germ pair while a set is sampled and screened
-# (tracemalloc at n = 901 and n = 2026); sizes the guard in PairTable.
-_PAIR_BYTES = 84
+# Peak bytes per ordered germ pair while a set is sampled, screened, solved
+# under both models and analyzed (tracemalloc: 30.4 at n = 901, 29.4 at
+# n = 2026; the fixed-point solve sets the peak); sizes the guard in
+# PairTable.
+_PAIR_BYTES = 30
+
+# Ordered pairs per row block while the table is built; bounds the
+# temporaries to a few MiB whatever the set size.
+_BLOCK_PAIRS = 1 << 18
 
 
 def fold_direction(angle: float) -> float:
@@ -269,39 +275,42 @@ class PairTable:
         self.ux = ux
         self.uy = uy
 
-        if n == 0:
-            self.d = np.zeros((0, 0))
-            self.transversal = np.zeros((0, 0), dtype=bool)
-            self.collinear = np.zeros((0, 0), dtype=bool)
-        else:
-            wx = self.x[None, :] - self.x[:, None]
-            wy = self.y[None, :] - self.y[:, None]
-            denom = ux[:, None] * uy[None, :] - uy[:, None] * ux[None, :]
-            offdiag = ~np.eye(n, dtype=bool)
-            parallel = (np.abs(denom) < angle_tol) & offdiag
-            transversal = ~parallel & offdiag
-
-            d = np.full((n, n), np.inf)
+        self.d = np.empty((n, n))
+        self.transversal = np.empty((n, n), dtype=bool)
+        self.collinear = np.zeros((n, n), dtype=bool)
+        radius = np.hypot(self.x, self.y)
+        rows = max(1, _BLOCK_PAIRS // max(n, 1))
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            wx = self.x[None, :] - self.x[lo:hi, None]
+            wy = self.y[None, :] - self.y[lo:hi, None]
+            denom = ux[lo:hi, None] * uy[None, :] - uy[lo:hi, None] * ux[None, :]
             # Quotients for parallel pairs (tiny denominators) are discarded
             # below; silence the spurious divide/overflow signals they raise.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 s = (wx * uy[None, :] - wy * ux[None, :]) / denom
-            d[transversal] = np.abs(s[transversal])
+            parallel = np.abs(denom) < angle_tol
+            diag = (np.arange(hi - lo), np.arange(lo, hi))
+            parallel[diag] = False
+            transversal = self.transversal[lo:hi]
+            np.logical_not(parallel, out=transversal)
+            transversal[diag] = False
+            d = self.d[lo:hi]
+            np.abs(s, out=d)
+            d[~transversal] = np.inf
 
             # Collinear parallels: perpendicular offset below tolerance on
             # both carriers, relative to the local length scale.
-            radius = np.hypot(self.x, self.y)
-            scale = np.maximum(1.0, np.maximum(radius[:, None], radius[None, :]))
-            off_a = np.abs(wx * uy[:, None] - wy * ux[:, None])
-            off_b = np.abs(wx * uy[None, :] - wy * ux[None, :])
-            collinear = parallel & (np.maximum(off_a, off_b) < angle_tol * scale)
-            if collinear.any():
-                half = 0.5 * np.hypot(wx, wy)
-                d[collinear] = half[collinear]
-
-            self.d = d
-            self.transversal = transversal
-            self.collinear = collinear
+            pi, pj = np.nonzero(parallel)
+            if len(pi):
+                pwx, pwy = wx[pi, pj], wy[pi, pj]
+                gi = pi + lo
+                scale = np.maximum(1.0, np.maximum(radius[gi], radius[pj]))
+                off_a = np.abs(pwx * uy[gi] - pwy * ux[gi])
+                off_b = np.abs(pwx * uy[pj] - pwy * ux[pj])
+                hit = np.maximum(off_a, off_b) < angle_tol * scale
+                d[pi[hit], pj[hit]] = 0.5 * np.hypot(pwx[hit], pwy[hit])
+                self.collinear[gi[hit], pj[hit]] = True
 
         self._condition_reports: dict = {}
         self._masks: dict = {}

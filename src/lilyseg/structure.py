@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,20 +32,21 @@ class StoppingMap:
 
     stops: Tuple[Tuple[int, int], ...]
 
+    @cached_property
+    def _index(self) -> Dict[int, int]:
+        return dict(self.stops)
+
     def as_dict(self) -> Dict[int, int]:
         return dict(self.stops)
 
     def __getitem__(self, i: int) -> int:
-        for k, v in self.stops:
-            if k == i:
-                return v
-        raise KeyError(i)
+        return self._index[i]
 
     def __len__(self) -> int:
         return len(self.stops)
 
     def __contains__(self, i: int) -> bool:
-        return any(k == i for k, _ in self.stops)
+        return i in self._index
 
 
 def stopping_map(solution: Solution, tol: float = 1e-9) -> StoppingMap:
@@ -88,11 +90,12 @@ class StructureReport:
     def n_contacts(self) -> int:
         return len(self.contact_edges)
 
+    @cached_property
+    def _cluster_index(self) -> Dict[int, Tuple[int, ...]]:
+        return {i: cluster for cluster in self.clusters for i in cluster}
+
     def cluster_of(self, i: int) -> Tuple[int, ...]:
-        for cluster in self.clusters:
-            if i in cluster:
-                return cluster
-        raise KeyError(i)
+        return self._cluster_index[i]
 
     def to_json(self) -> dict:
         return {

@@ -233,6 +233,75 @@ def test_table_cover_matches_scalar_predicates(pair, pick_a, pick_b):
         assert table.cover(radii, strict=strict, tol=CONTACT_TOL) == expected
 
 
+def _dense_table(points, angle_tol=PARALLEL_TOL):
+    """Reference ``(d, transversal, collinear)``, one n x n expression per step."""
+    n = len(points)
+    x = np.array([p.x for p in points], dtype=float)
+    y = np.array([p.y for p in points], dtype=float)
+    theta = np.array([p.theta for p in points], dtype=float)
+    ux, uy = np.cos(theta), np.sin(theta)
+    wx = x[None, :] - x[:, None]
+    wy = y[None, :] - y[:, None]
+    denom = ux[:, None] * uy[None, :] - uy[:, None] * ux[None, :]
+    offdiag = ~np.eye(n, dtype=bool)
+    parallel = (np.abs(denom) < angle_tol) & offdiag
+    transversal = ~parallel & offdiag
+    d = np.full((n, n), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (wx * uy[None, :] - wy * ux[None, :]) / denom
+    d[transversal] = np.abs(s[transversal])
+    radius = np.hypot(x, y)
+    scale = np.maximum(1.0, np.maximum(radius[:, None], radius[None, :]))
+    off_a = np.abs(wx * uy[:, None] - wy * ux[:, None])
+    off_b = np.abs(wx * uy[None, :] - wy * ux[None, :])
+    collinear = parallel & (np.maximum(off_a, off_b) < angle_tol * scale)
+    half = 0.5 * np.hypot(wx, wy)
+    d[collinear] = half[collinear]
+    return d, transversal, collinear
+
+
+def _planted_points(n, seed, offset):
+    """``n`` germs with planted collinear, near-collinear and near-parallel pairs."""
+    rng = np.random.default_rng(seed)
+    xs = list(offset + rng.uniform(0.0, 30.0, n))
+    ys = list(offset + rng.uniform(0.0, 30.0, n))
+    thetas = list(rng.uniform(0.0, math.pi, n))
+    for k in range(0, n - 1, 7):
+        # Partner k + 1 on k's carrier (exactly or up to a tiny offset), or
+        # turned by a fraction or a multiple of PARALLEL_TOL.
+        t = rng.uniform(0.5, 20.0)
+        off = (0.0, 1e-14, 1e-12, 1e-3)[k % 4]
+        ux, uy = math.cos(thetas[k]), math.sin(thetas[k])
+        xs[k + 1], ys[k + 1] = xs[k] + t * ux - off * uy, ys[k] + t * uy + off * ux
+        turn = (0.0, 0.5, 0.9, 1.1, 2.0)[k % 5] * PARALLEL_TOL
+        thetas[k + 1] = fold_direction(thetas[k] + turn)
+    return [mp(x, y, t) for x, y, t in zip(xs, ys, thetas)]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [],
+        [mp(1.0, 2.0, 0.5)],
+        _planted_points(12, 1, 0.0),
+        _planted_points(700, 2, 0.0),
+        _planted_points(650, 3, 1e6),
+    ],
+    ids=["n0", "n1", "n12", "n700", "n650_offset"],
+)
+def test_table_matches_dense_reference_bytewise(points):
+    table = PairTable(points)
+    expected = _dense_table(points)
+    for got, want in zip((table.d, table.transversal, table.collinear), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if len(points) > 100:
+        # The planted pairs reach both parallel outcomes: collinear, and
+        # disjoint (inf off the diagonal).
+        assert table.collinear.any()
+        assert (~table.transversal & np.isinf(table.d)).sum() > len(points)
+
+
 @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory size unavailable")
 def test_oversized_set_raises_before_allocating():
     # 200,000 germs would need about 3.4 TB of pair tables.

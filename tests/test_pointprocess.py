@@ -18,7 +18,9 @@ from lilyseg import (
     n_closest_to_origin,
     sample_poisson,
 )
+from lilyseg.geometry import PairTable
 from lilyseg.pointprocess import (
+    ConditionDReport,
     read_realization,
     realization_from_json,
     realization_to_json,
@@ -170,6 +172,100 @@ class TestConditionD:
         assert check_condition_d(fixed).passes
         for orig, moved in zip(mps, fixed):
             assert math.hypot(orig.x - moved.x, orig.y - moved.y) < 1e-8
+
+
+def _brute_condition_d(mps, tie_tol):
+    """Reference screen: the exact rule applied to every germ-sharing pair.
+
+    Each finite distance is taken once (both orders of a transversal pair,
+    the (min, max) copy of a collinear pair) and ordered by value, then by
+    row-major index.
+    """
+    table = PairTable(mps.points)
+    n = len(mps)
+    entries = sorted(
+        (float(table.d[i, j]), (i, j))
+        for i in range(n)
+        for j in range(n)
+        if (table.transversal[i, j] and math.isfinite(table.d[i, j]))
+        or (table.collinear[i, j] and i < j)
+    )
+    near = []
+    for a, (va, ea) in enumerate(entries):
+        for vb, eb in entries[a + 1:]:
+            if set(ea) & set(eb) and vb - va < tie_tol * max(vb, 1.0):
+                near.append((ea, eb, vb - va))
+    collinear = tuple((i, j) for i in range(n) for j in range(i + 1, n) if table.collinear[i, j])
+    return ConditionDReport(not near and not collinear, tuple(near), collinear)
+
+
+def _tie_prone_set(seed):
+    """A small set that often holds near ties at a loose tolerance."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    kind = seed % 3
+    if kind == 0:  # uniform
+        xs, ys = rng.uniform(0.0, 4.0, (2, n))
+        thetas = rng.uniform(0.0, math.pi, n)
+    elif kind == 1:  # lattice germs with few directions: exact ties, collinear pairs
+        cells = rng.choice(16, size=n, replace=False)
+        xs, ys = (cells % 4).astype(float), (cells // 4).astype(float)
+        thetas = rng.choice([0.0, math.pi / 4, math.pi / 2, 2.0], n)
+    else:  # uniform germs with two directions, shifted by 1e6
+        xs, ys = 1e6 + rng.uniform(0.0, 4.0, (2, n))
+        thetas = rng.choice([0.4, 1.9], n)
+    return MarkedPointSet(tuple(MarkedPoint(x, y, t) for x, y, t in zip(xs, ys, thetas)))
+
+
+class TestConditionDReference:
+    TOL = 1e-3
+
+    def test_matches_brute_force(self):
+        failing = 0
+        for seed in range(240):
+            mps = _tie_prone_set(seed)
+            report = check_condition_d(mps, self.TOL)
+            assert report == _brute_condition_d(mps, self.TOL), seed
+            failing += not report.passes
+        assert 40 < failing < 220
+
+    def test_collinear_half_distance_ties_transversal(self):
+        # Germs 1 and 2 are collinear (half distance 1.0); the vertical
+        # germ 0 meets their carrier at 0.9995 from germ 2 and 1.0005 from
+        # germ 1, and both of its own distances are 3.
+        mps = MarkedPointSet(
+            (
+                MarkedPoint(0.9995, 3.0, math.pi / 2),
+                MarkedPoint(2.0, 0.0, 0.0),
+                MarkedPoint(0.0, 0.0, 0.0),
+            )
+        )
+        report = check_condition_d(mps, self.TOL)
+        assert report == _brute_condition_d(mps, self.TOL)
+        assert report.collinear_pairs == ((1, 2),)
+        assert [(a, b) for a, b, _ in report.near_ties] == [
+            ((2, 0), (1, 2)),
+            ((2, 0), (1, 0)),
+            ((1, 2), (1, 0)),
+            ((0, 1), (0, 2)),
+        ]
+
+    def test_tie_between_four_distinct_germs_not_flagged(self):
+        # Two translated copies of one transversal pair: d[0, 1] == d[2, 3]
+        # and d[1, 0] == d[3, 2] exactly, but no germ is shared.
+        mps = MarkedPointSet(
+            (
+                MarkedPoint(0.0, 0.0, 0.0),
+                MarkedPoint(1.0, 2.0, math.pi / 2),
+                MarkedPoint(10.0, 10.0, 0.0),
+                MarkedPoint(11.0, 12.0, math.pi / 2),
+            )
+        )
+        table = PairTable(mps.points)
+        assert table.d[0, 1] == table.d[2, 3] and table.d[1, 0] == table.d[3, 2]
+        report = check_condition_d(mps, self.TOL)
+        assert report.passes and report.near_ties == ()
+        assert report == _brute_condition_d(mps, self.TOL)
 
 
 class TestNClosest:
