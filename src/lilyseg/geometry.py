@@ -7,9 +7,12 @@ midpoints, need to reach the intersection point of their carrier lines.
 This module computes those distances (scalar and all-pairs vectorized),
 realizes segments from solved radii, and holds the scalar contact
 predicates along with the :class:`PairTable` pair kernels that the solvers,
-the verifier and the structure analysis call: ``candidate_mask``,
-``admissible`` and ``stop_values`` (the stopping rule), ``stop_matches``
-(explained stops) and ``cover`` (the all-pairs contact test).
+the verifier and the structure analysis call: ``operator`` and
+``admissible`` (the stopping rule), ``stop_matches`` (explained stops) and
+``cover`` (the all-pairs contact test).  The kernels work over each germ's
+near list of closest stops and fall back to whole rows of the table where
+the list cannot certify its answer; ``candidate_mask`` and ``stop_values``
+give the whole-matrix rule to the chain and greedy solvers.
 
 Conventions
 -----------
@@ -30,7 +33,8 @@ import threading
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,14 +47,19 @@ PARALLEL_TOL = 1e-12
 CONTACT_TOL = 1e-9
 
 # Peak bytes per ordered germ pair while a set is sampled, screened, solved
-# under both models and analyzed (tracemalloc: 30.4 at n = 901, 29.4 at
-# n = 2026; the fixed-point solve sets the peak); sizes the guard in
-# PairTable.
-_PAIR_BYTES = 30
+# under both models and analyzed (tracemalloc, seed 1: 27.2 at n = 901,
+# 13.3 at n = 2026).  Sampling sets the peak: the table's 10 bytes per pair
+# plus temporaries of a few MiB whatever n, so the figure falls toward 11
+# (the screen's triangular collinear mask) as n grows; the solve and the
+# analysis stay within 7 MiB above the table.  Sizes the guard in PairTable.
+_PAIR_BYTES = 14
 
 # Ordered pairs per row block while the table is built; bounds the
 # temporaries to a few MiB whatever the set size.
 _BLOCK_PAIRS = 1 << 18
+
+# Pairs each germ keeps in the near list (see PairTable).
+_NEAR = 32
 
 
 def fold_direction(angle: float) -> float:
@@ -239,6 +248,29 @@ def segments_touch(s1: Segment, s2: Segment, tol: float = CONTACT_TOL) -> bool:
     return _pairwise_predicate(s1, s2, strict=False, tol=tol)
 
 
+class NearList(NamedTuple):
+    """Each germ's pairs of smallest later-arrival time ``m`` (see :class:`PairTable`)."""
+
+    j: np.ndarray  # (n, w) partners of row i by ascending m[i, j], w = min(_NEAR, n)
+    d: np.ndarray  # d[i, j] along the list
+    dT: np.ndarray  # d[j, i] along the list
+    transversal: np.ndarray  # the table's pair kinds along the list
+    collinear: np.ndarray
+    bound: np.ndarray  # smallest m[i, j] left out of row i, inf when none is
+    colmin: np.ndarray  # min over j of d[j, i]
+
+
+class _Slab(NamedTuple):
+    """Pairs ``(rows[a], cols[a, b])`` with their ``d[i, j]``, ``d[j, i]`` and kinds."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    d: np.ndarray
+    dT: np.ndarray
+    transversal: np.ndarray
+    collinear: np.ndarray
+
+
 class PairTable:
     """All-pairs growth distances for a finite list of marked points.
 
@@ -251,6 +283,15 @@ class PairTable:
 
     The table is the shared working state of the solvers; build it once per
     point set (see :func:`shared_pair_table`) and reuse.
+
+    The pair kernels (``operator``, ``admissible``, ``stop_matches`` and
+    ``cover``) read the :attr:`near` list: for each row ``i`` the ``_NEAR``
+    pairs of smallest ``m[i, j] = max(d[i, j], d[j, i])`` and ``bound[i]``,
+    the smallest ``m`` left out.  Every admissible stop and every contact
+    of ``i`` beyond ``bound[i]`` costs at least ``bound[i]``, so each kernel
+    certifies the rows the list answers exactly, with the floating-point
+    expression of its own test, and recomputes the other rows from ``d`` in
+    row blocks.  Results equal the whole-matrix evaluation bit for bit.
     """
 
     def __init__(self, points: Sequence[MarkedPoint], angle_tol: float = PARALLEL_TOL):
@@ -313,7 +354,6 @@ class PairTable:
                 self.collinear[gi[hit], pj[hit]] = True
 
         self._condition_reports: dict = {}
-        self._masks: dict = {}
 
     @property
     def m(self) -> np.ndarray:
@@ -326,36 +366,119 @@ class PairTable:
         Model 1 admits pairs whose own arrival is the later one
         (``d[i, j] > d[j, i]``, finite); Model 2 admits every pair with a
         finite later-arrival time, which is ``isfinite(d)``: finiteness of
-        ``d`` is symmetric and its diagonal is ``inf``.  Built once per
-        table and model.
+        ``d`` is symmetric and its diagonal is ``inf``.  Built afresh on
+        every call; only the chain and greedy solvers need it.
         """
-        if model not in (1, 2):
-            raise ValueError(f"model must be 1 or 2, got {model}")
-        if model not in self._masks:
-            finite = np.isfinite(self.d)
-            self._masks[model] = finite & (self.d > self.d.T) if model == 1 else finite
-        return self._masks[model]
+        _check_model(model)
+        finite = np.isfinite(self.d)
+        return finite & (self.d > self.d.T) if model == 1 else finite
 
     def stop_values(self, model: int) -> np.ndarray:
         """Radius at which ``i`` stops on ``j``: ``d`` in Model 1, ``m`` in Model 2."""
         return self.d if model == 1 else self.m
 
-    def admissible(self, radii: np.ndarray, model: int, tol: float = 0.0) -> np.ndarray:
-        """Mask of candidate ``(i, j)`` whose ``j`` reaches the meeting point.
+    @cached_property
+    def near(self) -> NearList:
+        """The near list, shared by both models; built once, in row blocks."""
+        n = self.n
+        width = min(_NEAR, n)
+        j = np.empty((n, width), dtype=np.intp)
+        bound = np.full(n, np.inf)
+        colmin = np.full(n, np.inf)
+        rows = max(1, _BLOCK_PAIRS // max(n, 1))
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            m = np.maximum(self.d[lo:hi], self.d[:, lo:hi].T)
+            r = np.arange(hi - lo)[:, None]
+            if width < n:
+                part = np.argpartition(m, width, axis=1)
+                bound[lo:hi] = m[r[:, 0], part[:, width]]
+                part = part[:, :width]
+            else:
+                part = np.broadcast_to(np.arange(n), m.shape)
+            j[lo:hi] = part[r, np.argsort(m[r, part], axis=1, kind="stable")]
+            np.minimum(colmin, self.d[lo:hi].min(axis=0), out=colmin)
+        i = np.arange(n)[:, None]
+        return NearList(
+            j, self.d[i, j], self.d[j, i], self.transversal[i, j], self.collinear[i, j], bound, colmin
+        )
 
-        The reach rule is ``radii[j] > d[j, i]`` in Model 1 and ``>=`` in
-        Model 2, with ``d[j, i]`` shrunk by the relative slack ``tol``.
+    def _near_slab(self, rows: Optional[np.ndarray] = None) -> _Slab:
+        """The near list as a slab, restricted to ``rows`` when given."""
+        near = self.near
+        pairs = (near.j, near.d, near.dT, near.transversal, near.collinear)
+        if rows is None:
+            return _Slab(np.arange(self.n), *pairs)
+        return _Slab(rows, *(a[rows] for a in pairs))
+
+    def _dense_slabs(self, rows: np.ndarray):
+        """``rows`` against every column, in blocks of about ``_BLOCK_PAIRS`` pairs."""
+        step = max(1, _BLOCK_PAIRS // max(self.n, 1))
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            cols = np.broadcast_to(np.arange(self.n), (len(r), self.n))
+            yield _Slab(r, cols, self.d[r], self.d[:, r].T, self.transversal[r], self.collinear[r])
+
+    def admissible(
+        self, radii: np.ndarray, model: int, tol: float = 0.0, slab: Optional[_Slab] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Admissible stops over a slab (the near list by default).
+
+        Returns a mask of the candidates ``(i, j)`` whose ``j`` reaches the
+        meeting point, and the stop values.  The reach rule is
+        ``radii[j] > d[j, i]`` in Model 1 and ``>=`` in Model 2, with
+        ``d[j, i]`` shrunk by the relative slack ``tol``.
         """
-        need = self.d.T * (1.0 - tol)
-        reach = radii[None, :] > need if model == 1 else radii[None, :] >= need
-        return self.candidate_mask(model) & reach
+        _check_model(model)
+        _, cols, d, dT, _, _ = self._near_slab() if slab is None else slab
+        need = dT * (1.0 - tol)
+        reach = radii[cols]
+        if model == 1:
+            return np.isfinite(d) & (d > dT) & (reach > need), d
+        return np.isfinite(d) & (reach >= need), np.maximum(d, dT)
 
-    def stop_matches(self, radii: np.ndarray, model: int, tol: float) -> np.ndarray:
-        """Mask of admissible ``(i, j)`` whose stop value is ``radii[i]`` within ``tol``."""
-        ri = radii[:, None]
-        admissible = self.admissible(radii, model, tol)
+    def operator(self, radii: np.ndarray, model: int) -> np.ndarray:
+        """One application of the model's stopping operator to ``radii``.
+
+        Entry ``i`` is the smallest admissible stop value of row ``i``
+        (``inf`` when there is none), read off the near list where that is
+        exact and recomputed over the whole row elsewhere.
+        """
+        near = self.near
+        ok, values = self.admissible(radii, model)
+        out = np.min(values, axis=1, where=ok, initial=np.inf)
+        # A candidate left out of row i stops it at m >= bound[i], so a list
+        # answer up to bound[i] is exact.  So is any answer when no radius
+        # reaches past d[j, i] for any j: then nothing left out is admissible.
+        unsure = out > near.bound
+        if unsure.any():
+            top = np.max(radii)
+            unsure &= ~(top <= near.colmin if model == 1 else top < near.colmin)
+            for slab in self._dense_slabs(np.nonzero(unsure)[0]):
+                ok, values = self.admissible(radii, model, slab=slab)
+                out[slab.rows] = np.min(values, axis=1, where=ok, initial=np.inf)
+        return out
+
+    def stop_matches(self, radii: np.ndarray, model: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Explained stops: admissible ``(i, j)`` whose stop value is ``radii[i]`` within ``tol``.
+
+        Only rows with a finite radius are searched.  Returns the index
+        arrays ``i`` and ``j`` in row-major order.
+        """
+        finite = np.isfinite(radii)
+        # A candidate left out of row i has a stop value >= bound[i]; once
+        # bound[i] clears the matching slack, the list holds every match.
         with np.errstate(invalid="ignore"):
-            return admissible & (np.abs(self.stop_values(model) - ri) <= tol * np.maximum(ri, 1.0))
+            sure = finite & (self.near.bound - radii > tol * np.maximum(radii, 1.0))
+        keys = []
+        for slab in self._slabs(sure, finite & ~sure):
+            ok, values = self.admissible(radii, model, tol, slab)
+            ri = radii[slab.rows, None]
+            with np.errstate(invalid="ignore"):
+                hit = ok & (np.abs(values - ri) <= tol * np.maximum(ri, 1.0))
+            a, b = np.nonzero(hit)
+            keys.append(slab.rows[a] * self.n + slab.cols[a, b])
+        return np.divmod(np.sort(np.concatenate(keys)), self.n)
 
     def cover(self, radii: np.ndarray, strict: bool, tol: float) -> List[Tuple[int, int]]:
         """Pairs ``(i, j)``, ``i < j``, whose segments share a point.
@@ -363,18 +486,39 @@ class PairTable:
         The all-pairs form of :func:`relative_interiors_intersect`
         (``strict``) or :func:`segments_touch`, in row-major order.
         """
-        ri = radii[:, None]
+        # A touching pair, transversal or collinear, has m <= R * (1 + tol)
+        # for the larger radius R of the two, so it is in that member's near
+        # list whenever R * (1 + tol) < bound there.
+        with np.errstate(invalid="ignore"):
+            sure = np.isfinite(radii) & (radii * (1.0 + tol) < self.near.bound)
         less = np.less if strict else np.less_equal
         scale = 1.0 - tol if strict else 1.0 + tol
-        with np.errstate(invalid="ignore"):
-            # Infinite radii cover every finite distance, interior included.
-            cover_i = np.where(np.isinf(ri), np.isfinite(self.d), less(self.d, ri * scale))
-            hit = self.transversal & cover_i & cover_i.T
-            if self.collinear.any():
-                reach = ri + radii[None, :]
-                hit |= self.collinear & (np.isinf(reach) | less(self.d + self.d.T, reach * scale))
-        hi, hj = np.nonzero(np.triu(hit, k=1))
-        return list(zip(hi.tolist(), hj.tolist()))
+        keys = []
+        for rows, cols, d, dT, transversal, collinear in self._slabs(sure, ~sure):
+            ri, rj = radii[rows, None], radii[cols]
+            with np.errstate(invalid="ignore"):
+                # Infinite radii cover every finite distance, interior included.
+                hit = transversal & np.where(np.isinf(ri), np.isfinite(d), less(d, ri * scale))
+                hit &= np.where(np.isinf(rj), np.isfinite(dT), less(dT, rj * scale))
+                if collinear.any():
+                    reach = ri + rj
+                    hit |= collinear & (np.isinf(reach) | less(d + dT, reach * scale))
+            a, b = np.nonzero(hit)
+            i, j = rows[a], cols[a, b]
+            keys.append(np.minimum(i, j) * self.n + np.maximum(i, j))
+        i, j = np.divmod(np.unique(np.concatenate(keys)), self.n)
+        return list(zip(i.tolist(), j.tolist()))
+
+    def _slabs(self, listed: np.ndarray, whole: np.ndarray):
+        """The near list over the rows ``listed`` marks, then whole rows ``whole`` marks."""
+        rows = np.nonzero(listed)[0]
+        yield self._near_slab(None if len(rows) == self.n else rows)
+        yield from self._dense_slabs(np.nonzero(whole)[0])
+
+
+def _check_model(model: int) -> None:
+    if model not in (1, 2):
+        raise ValueError(f"model must be 1 or 2, got {model}")
 
 
 _table_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

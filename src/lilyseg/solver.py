@@ -6,7 +6,10 @@ marked point set:
 * ``solve_fixed_point``: iterate the model's monotone stopping operator
   from the all-zero assignment until two consecutive iterates agree
   exactly.  Even iterates increase, odd iterates decrease, and the two
-  subsequences pinch the unique solution.
+  subsequences pinch the unique solution.  Each step is
+  ``PairTable.operator``, which reads every germ's near list of closest
+  stops and recomputes only the rows the list cannot certify, so a step
+  costs O(n) list entries plus a few whole rows instead of an n x n pass.
 * ``solve_chain``: chase stopping chains point by point, maintaining lower
   bounds from the shrinking candidate sets, confirming a stop once the
   next point's bound (weak test) or exact radius (strong test) clears the
@@ -118,14 +121,6 @@ class ChainTrace:
 # Stopping operators
 
 
-def _operator(table: PairTable, model: int, f: np.ndarray) -> np.ndarray:
-    """Apply the model's stopping operator to an assignment array."""
-    if table.n == 0:
-        return f.copy()
-    ok = table.admissible(f, model)
-    return np.min(table.stop_values(model), axis=1, where=ok, initial=np.inf)
-
-
 def apply_t1(f: RadiiAssignment, point_set: MarkedPointSet) -> RadiiAssignment:
     """One application of the Model-1 stopping operator.
 
@@ -134,7 +129,7 @@ def apply_t1(f: RadiiAssignment, point_set: MarkedPointSet) -> RadiiAssignment:
     ``f(j) > d[j, i]`` (infimum of the empty set being ``inf``).
     """
     table = require_condition_d(point_set)
-    return RadiiAssignment.from_array(_operator(table, 1, f.to_array()))
+    return RadiiAssignment.from_array(table.operator(f.to_array(), 1))
 
 
 def apply_t2(f: RadiiAssignment, point_set: MarkedPointSet) -> RadiiAssignment:
@@ -144,7 +139,7 @@ def apply_t2(f: RadiiAssignment, point_set: MarkedPointSet) -> RadiiAssignment:
     d[j, i])`` over ``j != i`` with ``f(j) >= d[j, i]`` (non-strict).
     """
     table = require_condition_d(point_set)
-    return RadiiAssignment.from_array(_operator(table, 2, f.to_array()))
+    return RadiiAssignment.from_array(table.operator(f.to_array(), 2))
 
 
 def _solve_fixed_point_array(table: PairTable, model: int) -> Tuple[np.ndarray, int]:
@@ -156,7 +151,7 @@ def _solve_fixed_point_array(table: PairTable, model: int) -> Tuple[np.ndarray, 
     prev_even = f
     prev_odd: Optional[np.ndarray] = None
     for step in range(1, max_steps + 1):
-        f_next = _operator(table, model, f)
+        f_next = table.operator(f, model)
         if np.array_equal(f_next, f):
             return f, step
         # Monotone sandwich: even iterates rise, odd iterates fall, and no
@@ -460,10 +455,11 @@ class VerificationReport:
 
 def _verify_with_table(table: PairTable, radii: np.ndarray, model: int, tol: float) -> VerificationReport:
     hard = tuple(table.cover(radii, strict=True, tol=tol))
-    explained = table.stop_matches(radii, model, tol).any(axis=1)
+    explained = np.zeros(table.n, dtype=bool)
+    explained[table.stop_matches(radii, model, tol)[0]] = True
     growth = tuple(int(i) for i in np.nonzero(np.isfinite(radii) & ~explained)[0])
 
-    mapped = _operator(table, model, radii)
+    mapped = table.operator(radii, model)
     with np.errstate(invalid="ignore"):
         near = np.abs(mapped - radii) <= tol * np.maximum(radii, 1.0)
     close = (np.isinf(mapped) & np.isinf(radii)) | (np.isfinite(mapped) & np.isfinite(radii) & near)

@@ -8,7 +8,9 @@ cycle of length at least three, Model 2 with a mutual pair of equal radii
 derived from the stopping relation are checked against the closed-segment
 contact test ``PairTable.cover(strict=False)`` on every analysis, so the
 two cluster notions (touching vs. stopping) are asserted to coincide
-rather than assumed.
+rather than assumed.  Both kernels read each germ's near list of closest
+stops and fall back to whole table rows only where the list cannot
+certify its answer; the results equal the all-pairs evaluation.
 """
 
 from __future__ import annotations
@@ -58,10 +60,13 @@ def stopping_map(solution: Solution, tol: float = 1e-9) -> StoppingMap:
     """
     table = shared_pair_table(solution.point_set)
     radii = solution.radii.to_array()
-    matches = table.stop_matches(radii, solution.model, tol)
+    rows, cols = table.stop_matches(radii, solution.model, tol)
+    finite = np.nonzero(np.isfinite(radii))[0]
+    starts = np.searchsorted(rows, finite, side="left").tolist()
+    ends = np.searchsorted(rows, finite, side="right").tolist()
     stops: List[Tuple[int, int]] = []
-    for i in np.nonzero(np.isfinite(radii))[0].tolist():
-        js = np.nonzero(matches[i])[0]
+    for i, lo, hi in zip(finite.tolist(), starts, ends):
+        js = cols[lo:hi]
         if len(js) == 0:
             raise StructureInconsistency(f"index {i} has no stopping neighbour")
         if len(js) > 1:
