@@ -36,9 +36,6 @@ from .pointprocess import (
     write_realization,
 )
 from .solver import (
-    METHOD_CHAIN,
-    METHOD_FIXED_POINT,
-    METHOD_GREEDY,
     read_solution,
     solution_to_json,
     solve_chain,
@@ -105,9 +102,6 @@ def _cmd_generate(args, argv) -> int:
     else:
         write_realization(mps, sys.stdout)
     return 0
-
-
-_METHODS = {"fixed": METHOD_FIXED_POINT, "chain": METHOD_CHAIN, "oracle": METHOD_GREEDY}
 
 
 def _solve_one(mps, model: int, method: str):

@@ -48,9 +48,9 @@ CONTACT_TOL = 1e-9
 
 # Peak bytes per ordered germ pair while a set is sampled, screened, solved
 # under both models and analyzed (tracemalloc, seed 1: 27.2 at n = 901,
-# 13.3 at n = 2026).  Sampling sets the peak: the table's 10 bytes per pair
-# plus temporaries of a few MiB whatever n, so the figure falls toward 11
-# (the screen's triangular collinear mask) as n grows; the solve and the
+# 13.5 at n = 2026).  Sampling sets the peak: the table's 10 bytes per pair
+# plus the build's and the screen's row-block temporaries, a few MiB
+# whatever n, so the figure falls toward 10 as n grows; the solve and the
 # analysis stay within 7 MiB above the table.  Sizes the guard in PairTable.
 _PAIR_BYTES = 14
 

@@ -241,8 +241,9 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
         return cached
     n = table.n
     d, collinear = table.d, table.collinear
-    ci, cj = np.nonzero(np.triu(collinear, k=1))
-    collinear_pairs = list(zip(ci.tolist(), cj.tolist()))
+    ci, cj = np.nonzero(collinear)
+    upper = ci < cj
+    collinear_pairs = list(zip(ci[upper].tolist(), cj[upper].tolist()))
 
     # Germ g takes part in the distances of row d[g, :] and column d[:, g];
     # a collinear pair's two orders are one distance (equal by construction),
@@ -357,6 +358,11 @@ def _fold_seed(seed: int) -> int:
     return int(seed) & 0xFFFFFFFFFFFFFFFF
 
 
+def _check_intensity(intensity: float) -> None:
+    if not (math.isfinite(intensity) and intensity > 0):
+        raise InvalidIntensity(f"intensity must be positive and finite, got {intensity}")
+
+
 def _draw(
     intensity: float,
     window: Window,
@@ -365,8 +371,7 @@ def _draw(
     marks: Union[str, TwoAtomMarks] = "uniform",
 ) -> Optional[MarkedPointSet]:
     """One unscreened draw under ``(seed, attempt)``; ``None`` if two germs coincide."""
-    if not (math.isfinite(intensity) and intensity > 0):
-        raise InvalidIntensity(f"intensity must be positive and finite, got {intensity}")
+    _check_intensity(intensity)
     if not isinstance(window, (Rectangle, Disk)):
         raise InvalidWindow(f"not a window: {window!r}")
     rng = np.random.default_rng((_fold_seed(seed), attempt))

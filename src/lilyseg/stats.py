@@ -3,9 +3,11 @@
 Estimators view the process from a typical germ by spatial averaging over
 interior-certified germs of windowed realizations (minus sampling with a
 guard margin), or over the pinned origin germ of origin-centered batches.
-Standard errors come from replication-level batching: each seed is one
-batch, and aggregation is a deterministic reduce in seed order so serial
-and parallel runs agree bit for bit.
+All three estimators run their seeds through one driver with one abort
+policy: a replication that raises is logged and dropped, and more than 1%
+dropped fails the run.  Standard errors come from replication-level
+batching: each seed is one batch, and aggregation is a deterministic
+reduce in seed order so serial and parallel runs agree bit for bit.
 
 Reference facts the diagnostics target: the mean neighbour count of the
 typical segment is 2 under Model 1 and 2 minus the doublet probability
@@ -25,7 +27,8 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +38,8 @@ from .errors import (
     InsufficientTail,
     LilysegError,
 )
-from .pointprocess import Disk, Rectangle, Window, sample_pinned, sample_poisson
+from .geometry import _check_model
+from .pointprocess import Disk, Rectangle, Window, _check_intensity, sample_pinned, sample_poisson
 from .solver import Solution, solve_fixed_point
 from .structure import StructureReport, analyze, interior_certified
 
@@ -60,6 +64,8 @@ class McConfig:
     estimators: Tuple[str, ...] = ("nu", "varpi", "mu", "p_finite")
 
     def __post_init__(self):
+        _check_model(self.model)
+        _check_intensity(self.intensity)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.margin < 0:
@@ -151,12 +157,35 @@ def _collect_replication(config: McConfig, seed: int) -> _RepStats:
     return stats
 
 
-def _safe_collect(args) -> Tuple[Optional[_RepStats], Optional[str]]:
-    config, seed = args
+def _attempt(job: Callable[[int], object], seed: int) -> Tuple[object, Optional[str]]:
+    # Runs in a worker process too, so the error goes back as text.
     try:
-        return _collect_replication(config, seed), None
+        return job(seed), None
     except LilysegError as exc:
         return None, f"{type(exc).__name__}: {exc}"
+
+
+def _replicate(job: Callable[[int], object], seeds: Sequence[int], workers: int = 1) -> Tuple[list, int]:
+    """Run ``job(seed)`` for every seed; return the kept results in seed order and the dropped count.
+
+    A ``LilysegError`` drops its replication; more than 1% dropped raises
+    ``AbortRateExceeded``.  With ``workers > 1``, ``job`` must pickle.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(partial(_attempt, job), seeds))
+    else:
+        outcomes = [_attempt(job, seed) for seed in seeds]
+    kept = []
+    for seed, (result, error) in zip(seeds, outcomes):
+        if error is None:
+            kept.append(result)
+        else:
+            log.warning("replication seed=%d aborted: %s", seed, error)
+    aborted = len(seeds) - len(kept)
+    if aborted > 0.01 * len(seeds):
+        raise AbortRateExceeded(f"{aborted}/{len(seeds)} replications aborted")
+    return kept, aborted
 
 
 def _batch_mean_stderr(per_rep_values: Sequence[float]) -> Tuple[float, float]:
@@ -280,24 +309,8 @@ def run_monte_carlo(config: McConfig, workers: int = 1) -> PalmEstimates:
     Results are reduced in seed order, so ``workers > 1`` changes nothing
     but wall time.
     """
-    seeds = [config.base_seed + r for r in range(config.replications)]
-    jobs = [(config, seed) for seed in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_safe_collect, jobs))
-    else:
-        outcomes = [_safe_collect(job) for job in jobs]
-    aborted = 0
-    kept: List[_RepStats] = []
-    for seed, (stats, error) in zip(seeds, outcomes):
-        if stats is None:
-            log.warning("replication seed=%d aborted: %s", seed, error)
-            aborted += 1
-        else:
-            kept.append(stats)
-    if aborted > 0.01 * config.replications:
-        raise AbortRateExceeded(f"{aborted}/{config.replications} replications aborted")
-
+    seeds = range(config.base_seed, config.base_seed + config.replications)
+    kept, aborted = _replicate(partial(_collect_replication, config), seeds, workers)
     est = PalmEstimates(
         config_hash=config.hash(),
         model=config.model,
@@ -459,18 +472,23 @@ def pinned_origin_radii(
     units out where the full process would long since have intervened.
     With ``censor_escapes`` such radii are recorded as ``inf`` (excluded
     from finite-radius statistics) rather than taken at face value.
+
+    Replication ``r`` uses seed ``base_seed + r``.  Replications that raise
+    are dropped under the abort budget of ``run_monte_carlo``, so the array
+    holds completed replications only.
     """
+    _check_model(model)
+    _check_intensity(intensity)
     if disk_radius is None:
         disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
-    out = np.empty(replications)
-    for r in range(replications):
-        mps = sample_pinned(intensity, n_neighbors, base_seed + r, disk_radius)
-        solution = solve_fixed_point(mps, model)
-        radius = solution.radii[0]
-        if censor_escapes and radius > disk_radius:
-            radius = math.inf
-        out[r] = radius
-    return out
+    job = partial(_pinned_radius, model, intensity, n_neighbors, disk_radius, censor_escapes)
+    kept, _ = _replicate(job, range(base_seed, base_seed + replications))
+    return np.array(kept, dtype=float)
+
+
+def _pinned_radius(model: int, intensity: float, n: int, disk_radius: float, censor: bool, seed: int) -> float:
+    radius = solve_fixed_point(sample_pinned(intensity, n, seed, disk_radius), model).radii[0]
+    return math.inf if censor and radius > disk_radius else radius
 
 
 @dataclass(frozen=True)
@@ -528,39 +546,24 @@ def percolation_trend(
     least squares over sizes, 95% normal interval) is the percolation
     diagnostic: a slope interval covering zero or below is the expected
     signature when no infinite cluster forms.
+
+    Side ``k`` uses seeds ``base_seed + 10_000 * k + r``.  Replications
+    that raise are dropped under the abort budget of ``run_monte_carlo``,
+    applied per side, so each row holds completed replications with a
+    non-empty window only.
     """
+    _check_model(model)
+    _check_intensity(intensity)
     if len(sides) < 3:
         raise InsufficientSizes(f"need at least 3 window sizes, got {len(sides)}")
     rows: List[TrendRow] = []
     for k, side in enumerate(sides):
-        window = Rectangle.square(side)
-        sizes: List[float] = []
-        points: List[int] = []
-        for r in range(replications):
-            seed = base_seed + 10_000 * k + r
-            mps = sample_poisson(intensity, window, seed)
-            if len(mps) == 0:
-                continue
-            solution = solve_fixed_point(mps, model)
-            report = analyze(solution)
-            coords = mps.coords()
-            center = window.center
-            nearest = int(
-                np.argmin(np.hypot(coords[:, 0] - center[0], coords[:, 1] - center[1]))
-            )
-            sizes.append(float(len(report.cluster_of(nearest))))
-            points.append(len(mps))
-        arr = np.array(sizes)
-        stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) >= 2 else math.nan
-        rows.append(
-            TrendRow(
-                side=float(side),
-                mean_points=float(np.mean(points)) if points else 0.0,
-                mean_cluster_size=float(arr.mean()) if len(arr) else math.nan,
-                stderr=stderr,
-                replications=len(arr),
-            )
-        )
+        first = base_seed + 10_000 * k
+        job = partial(_centre_cluster, model, intensity, Rectangle.square(side))
+        done = [out for out in _replicate(job, range(first, first + replications))[0] if out is not None]
+        mean, stderr = _batch_mean_stderr([size for size, _ in done])
+        points = float(np.mean([n for _, n in done])) if done else 0.0
+        rows.append(TrendRow(float(side), points, mean, stderr, len(done)))
 
     xs = np.array([row.mean_points for row in rows])
     ys = np.array([row.mean_cluster_size for row in rows])
@@ -578,6 +581,18 @@ def percolation_trend(
         slope_ci_low=slope - 1.96 * slope_stderr,
         slope_ci_high=slope + 1.96 * slope_stderr,
     )
+
+
+def _centre_cluster(model: int, intensity: float, window: Rectangle, seed: int) -> Optional[Tuple[float, int]]:
+    """Size of the cluster around the germ nearest the centre, and n; ``None`` for an empty window."""
+    mps = sample_poisson(intensity, window, seed)
+    if len(mps) == 0:
+        return None
+    report = analyze(solve_fixed_point(mps, model))
+    coords = mps.coords()
+    center = window.center
+    nearest = int(np.argmin(np.hypot(coords[:, 0] - center[0], coords[:, 1] - center[1])))
+    return float(len(report.cluster_of(nearest))), len(mps)
 
 
 @dataclass(frozen=True)

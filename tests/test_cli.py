@@ -203,6 +203,18 @@ class TestMc:
             run(["mc", "--model", 1, "--estimators", "sparkle", "--out-dir", tmp_path / "x"]) == 2
         )
 
+    @pytest.mark.parametrize("estimators", ["nu", "trend"])
+    def test_bad_intensity_is_a_validation_error(self, tmp_path, caplog, estimators):
+        # Rejected before the first replication: exit 2, not 3 ("3/3 aborted").
+        code = run(
+            [
+                "mc", "--model", 1, "--lambda", -1, "--window", "20x20", "--margin", 2,
+                "--reps", 3, "--estimators", estimators, "--sizes", "5,6,7", "--out-dir", tmp_path / "x",
+            ]
+        )
+        assert code == 2
+        assert "aborted" not in caplog.text
+
 
 class TestRoundTrip:
     def test_pipeline_completes_on_100_seeds(self, tmp_path):

@@ -3,22 +3,29 @@ import math
 import numpy as np
 import pytest
 
+import lilyseg.stats
 from lilyseg import (
+    AbortRateExceeded,
+    ConditionDViolation,
     InsufficientSizes,
     InsufficientTail,
+    InvalidIntensity,
     McConfig,
     Rectangle,
+    TrendTable,
+    analyze,
     estimate_mu_consistency,
     gaussian_tail_diagnostic,
     mass_transport_check,
     percolation_trend,
     pinned_origin_radii,
     run_monte_carlo,
+    sample_pinned,
     sample_poisson,
     solve_fixed_point,
     tail_of_r2,
 )
-from lilyseg.stats import estimates_to_csv
+from lilyseg.stats import TrendRow, estimates_to_csv
 
 
 def small_config(model, **kw):
@@ -75,6 +82,11 @@ class TestRunMonteCarlo:
             small_config(1, margin=7.0)  # no interior left in a 12x12 window
         with pytest.raises(ValueError):
             small_config(1, replications=0)
+        with pytest.raises(ValueError, match="model must be 1 or 2"):
+            small_config(3)
+        for intensity in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidIntensity):
+                small_config(1, intensity=intensity)
 
 
 class TestMuConsistency:
@@ -206,6 +218,169 @@ class TestPercolationTrend:
     def test_csv_contains_slope(self):
         trend = percolation_trend(2, 1.0, [6.0, 7.0, 8.0], replications=5, base_seed=9)
         assert "slope" in trend.to_csv()
+
+
+def _reference_pinned_origin_radii(
+    model, intensity, n_neighbors, replications, base_seed=0, disk_radius=None, censor_escapes=True
+):
+    # The per-estimator loop that the shared replication driver replaced.
+    if disk_radius is None:
+        disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
+    out = np.empty(replications)
+    for r in range(replications):
+        mps = sample_pinned(intensity, n_neighbors, base_seed + r, disk_radius)
+        solution = solve_fixed_point(mps, model)
+        radius = solution.radii[0]
+        if censor_escapes and radius > disk_radius:
+            radius = math.inf
+        out[r] = radius
+    return out
+
+
+def _reference_percolation_trend(model, intensity, sides, replications=100, base_seed=0):
+    # The per-estimator loop and fit that the shared replication driver replaced.
+    rows = []
+    for k, side in enumerate(sides):
+        window = Rectangle.square(side)
+        sizes = []
+        points = []
+        for r in range(replications):
+            seed = base_seed + 10_000 * k + r
+            mps = sample_poisson(intensity, window, seed)
+            if len(mps) == 0:
+                continue
+            solution = solve_fixed_point(mps, model)
+            report = analyze(solution)
+            coords = mps.coords()
+            center = window.center
+            nearest = int(
+                np.argmin(np.hypot(coords[:, 0] - center[0], coords[:, 1] - center[1]))
+            )
+            sizes.append(float(len(report.cluster_of(nearest))))
+            points.append(len(mps))
+        arr = np.array(sizes)
+        stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) >= 2 else math.nan
+        rows.append(
+            TrendRow(
+                side=float(side),
+                mean_points=float(np.mean(points)) if points else 0.0,
+                mean_cluster_size=float(arr.mean()) if len(arr) else math.nan,
+                stderr=stderr,
+                replications=len(arr),
+            )
+        )
+
+    xs = np.array([row.mean_points for row in rows])
+    ys = np.array([row.mean_cluster_size for row in rows])
+    ws = np.array([1.0 / row.stderr**2 if row.stderr and row.stderr > 0 else 1.0 for row in rows])
+    xbar = float(np.sum(ws * xs) / np.sum(ws))
+    ybar = float(np.sum(ws * ys) / np.sum(ws))
+    sxx = float(np.sum(ws * (xs - xbar) ** 2))
+    slope = float(np.sum(ws * (xs - xbar) * (ys - ybar)) / sxx)
+    slope_stderr = float(math.sqrt(1.0 / sxx))
+    return TrendTable(
+        model=model,
+        rows=tuple(rows),
+        slope=slope,
+        slope_stderr=slope_stderr,
+        slope_ci_low=slope - 1.96 * slope_stderr,
+        slope_ci_high=slope + 1.96 * slope_stderr,
+    )
+
+
+class TestAgainstReferenceLoops:
+    @pytest.mark.parametrize(
+        "model, n_neighbors, replications, base_seed, censor",
+        [(1, 41, 40, 0, True), (2, 20, 60, 5, True), (1, 20, 60, 11, False)],
+    )
+    def test_pinned_radii_identical(self, model, n_neighbors, replications, base_seed, censor):
+        args = (model, 1.0, n_neighbors, replications, base_seed)
+        got = pinned_origin_radii(*args, censor_escapes=censor)
+        assert np.array_equal(got, _reference_pinned_origin_radii(*args, censor_escapes=censor))
+
+    @pytest.mark.parametrize(
+        "model, intensity, sides, replications",
+        [
+            (2, 1.0, [6.0, 8.0, 10.0], 12),
+            (1, 1.0, [5.0, 7.0, 9.0], 10),
+            # About four windows in five are empty at side 2: rows count the rest.
+            (1, 0.05, [2.0, 3.0, 4.0, 6.0], 30),
+        ],
+    )
+    def test_trend_csv_identical(self, model, intensity, sides, replications):
+        got = percolation_trend(model, intensity, sides, replications, base_seed=2)
+        reference = _reference_percolation_trend(model, intensity, sides, replications, base_seed=2)
+        assert got.to_csv() == reference.to_csv()
+        if intensity < 1.0:
+            assert got.rows[0].replications < replications
+
+
+def _failing_at(sampler, bad_seeds):
+    """Wrap a sampler (seed as third argument) to raise for ``bad_seeds``."""
+
+    def sample(*args, **kwargs):
+        if args[2] in bad_seeds:
+            raise ConditionDViolation(None, f"forced failure at seed {args[2]}")
+        return sampler(*args, **kwargs)
+
+    return sample
+
+
+class TestAbortBudget:
+    """One policy for all three estimators: drop and count up to 1%, raise above."""
+
+    def mc_config(self, model):
+        return small_config(model, window=Rectangle.square(8.0), margin=2.0, replications=100, base_seed=50)
+
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_monte_carlo_drops_one_in_a_hundred(self, monkeypatch, caplog, model):
+        monkeypatch.setattr(lilyseg.stats, "sample_poisson", _failing_at(sample_poisson, {87}))
+        est = run_monte_carlo(self.mc_config(model), workers=1)
+        assert est.replications_aborted == 1
+        assert est.replications_completed == 99
+        assert "replication seed=87 aborted: ConditionDViolation" in caplog.text
+
+    def test_monte_carlo_raises_above_budget(self, monkeypatch):
+        monkeypatch.setattr(lilyseg.stats, "sample_poisson", _failing_at(sample_poisson, {50, 149}))
+        with pytest.raises(AbortRateExceeded, match="2/100"):
+            run_monte_carlo(self.mc_config(1), workers=1)
+
+    def test_pinned_drops_one_in_a_hundred(self, monkeypatch):
+        full = pinned_origin_radii(1, 1.0, 10, 100, base_seed=7)
+        monkeypatch.setattr(lilyseg.stats, "sample_pinned", _failing_at(sample_pinned, {7 + 42}))
+        radii = pinned_origin_radii(1, 1.0, 10, 100, base_seed=7)
+        assert len(radii) == 99
+        assert np.array_equal(radii, np.delete(full, 42))
+
+    def test_pinned_raises_above_budget(self, monkeypatch):
+        monkeypatch.setattr(lilyseg.stats, "sample_pinned", _failing_at(sample_pinned, {0, 1}))
+        with pytest.raises(AbortRateExceeded):
+            pinned_origin_radii(2, 1.0, 10, 100)
+
+    def test_trend_drops_one_in_a_hundred(self, monkeypatch):
+        sides = [4.0, 5.0, 6.0]
+        full = percolation_trend(2, 1.0, sides, replications=100, base_seed=3)
+        monkeypatch.setattr(lilyseg.stats, "sample_poisson", _failing_at(sample_poisson, {3 + 10_000 + 17}))
+        trend = percolation_trend(2, 1.0, sides, replications=100, base_seed=3)
+        assert [row.replications for row in full.rows] == [100, 100, 100]
+        assert [row.replications for row in trend.rows] == [100, 99, 100]
+        assert (trend.rows[0], trend.rows[2]) == (full.rows[0], full.rows[2])
+
+    def test_trend_raises_above_budget(self, monkeypatch):
+        monkeypatch.setattr(lilyseg.stats, "sample_poisson", _failing_at(sample_poisson, {20_000, 20_099}))
+        with pytest.raises(AbortRateExceeded):
+            percolation_trend(1, 1.0, [4.0, 5.0, 6.0], replications=100)
+
+    def test_invalid_arguments_raise_before_any_replication(self):
+        for intensity in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidIntensity):
+                pinned_origin_radii(1, intensity, 10, 5)
+            with pytest.raises(InvalidIntensity):
+                percolation_trend(1, intensity, [4.0, 5.0, 6.0], replications=5)
+        with pytest.raises(ValueError, match="model must be 1 or 2"):
+            pinned_origin_radii(3, 1.0, 10, 5)
+        with pytest.raises(ValueError, match="model must be 1 or 2"):
+            percolation_trend(0, 1.0, [4.0, 5.0, 6.0], replications=5)
 
 
 class TestMassTransport:
