@@ -215,7 +215,7 @@ def _cmd_mc(args, argv) -> int:
         if not args.sizes:
             raise LilysegError("--sizes is required for the trend estimator")
         sides = [float(s) for s in args.sizes.split(",")]
-        trend = percolation_trend(args.model, args.intensity, sides, args.reps, args.seed)
+        trend = percolation_trend(args.model, args.intensity, sides, args.reps, args.seed, workers=args.workers)
         trend_path = out_dir / "trend.csv"
         trend_path.write_text(trend.to_csv())
         outputs.append(str(trend_path))

@@ -22,7 +22,7 @@ class RadiiMismatch(LilysegError):
 
 
 class InputTooLarge(LilysegError):
-    """A point set's dense pair tables would not fit in physical memory."""
+    """A point set's dense pair table, which only the oracle solvers build, would not fit in physical memory."""
 
 
 class InvalidIntensity(LilysegError):
@@ -78,7 +78,7 @@ class InsufficientTail(LilysegError):
 
 
 class InsufficientSizes(LilysegError):
-    """A trend computation needs at least three window sizes."""
+    """A trend fit needs three window sizes with non-empty windows and distinct mean point counts."""
 
 
 class AbortRateExceeded(LilysegError):

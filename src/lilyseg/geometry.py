@@ -9,9 +9,11 @@ realizes segments from solved radii, and holds the scalar contact
 predicates along with the :class:`PairTable` pair kernels that the solvers,
 the verifier and the structure analysis call: ``operator`` and
 ``admissible`` (the stopping rule), ``stop_matches`` (explained stops) and
-``cover`` (the all-pairs contact test).  The kernels work over each germ's
-near list of closest stops and fall back to whole rows of the table where
-the list cannot certify its answer; ``candidate_mask`` and ``stop_values``
+``cover`` (the all-pairs contact test).  The table stores no n x n array:
+one sweep over row blocks, computed from the coordinates, builds each
+germ's near list of closest stops, and the kernels fall back to rows
+recomputed on demand where the list cannot certify its answer.  A dense
+table is built only when asked for; ``candidate_mask`` and ``stop_values``
 give the whole-matrix rule to the chain and greedy solvers.
 
 Conventions
@@ -46,17 +48,18 @@ PARALLEL_TOL = 1e-12
 #: Default relative tolerance for contact predicates.
 CONTACT_TOL = 1e-9
 
-# Peak bytes per ordered germ pair while a set is sampled, screened, solved
-# under both models and analyzed (tracemalloc, seed 1: 27.2 at n = 901,
-# 13.5 at n = 2026).  Sampling sets the peak: the table's 10 bytes per pair
-# plus the build's and the screen's row-block temporaries, a few MiB
-# whatever n, so the figure falls toward 10 as n grows; the solve and the
-# analysis stay within 7 MiB above the table.  Sizes the guard in PairTable.
-_PAIR_BYTES = 14
+# Peak bytes per ordered germ pair of the oracle solvers, which alone build
+# the dense table (tracemalloc, 30x30 and 45x45 windows, seed 1): the chain
+# solver 35, the greedy sweep 46-47 in Model 1 and 55 in Model 2 (its pair
+# index and event-time arrays).  Sizes the guard on the dense build; the
+# production path holds O(n) arrays and needs no guard.
+_PAIR_BYTES = 56
 
-# Ordered pairs per row block while the table is built; bounds the
-# temporaries to a few MiB whatever the set size.
-_BLOCK_PAIRS = 1 << 18
+# Ordered pairs per row block when rows of the table are computed (the sweep
+# and the kernels' whole-row fallback).  Each pass allocates one workspace,
+# about 1.7 MiB at this size, and reuses it for every block: fresh
+# temporaries per block cost page faults.
+_BLOCK_PAIRS = 1 << 15
 
 # Pairs each germ keeps in the near list (see PairTable).
 _NEAR = 32
@@ -271,32 +274,162 @@ class _Slab(NamedTuple):
     collinear: np.ndarray
 
 
+class _Dense(NamedTuple):
+    """The whole n x n table, built only for the oracle solvers and the tests."""
+
+    d: np.ndarray
+    transversal: np.ndarray
+    collinear: np.ndarray
+
+
 class PairTable:
     """All-pairs growth distances for a finite list of marked points.
 
-    Dense vectorized companion of :func:`pair_geometry`: entry ``d[i, j]``
-    is the growth distance of point ``i`` toward the carrier intersection
-    with point ``j`` (``inf`` on the diagonal and for disjoint parallels,
-    half the germ distance for collinear parallels).  The expressions match
-    the scalar routine operation for operation, so ``d[i, j]`` and the
-    scalar ``d_ab`` agree bitwise.
+    Vectorized companion of :func:`pair_geometry`: entry ``d[i, j]`` is the
+    growth distance of point ``i`` toward the carrier intersection with
+    point ``j`` (``inf`` on the diagonal and for disjoint parallels, half
+    the germ distance for collinear parallels).  The expressions match the
+    scalar routine operation for operation, so ``d[i, j]`` and the scalar
+    ``d_ab`` agree bitwise.
 
-    The table is the shared working state of the solvers; build it once per
-    point set (see :func:`shared_pair_table`) and reuse.
+    The table stores O(n) state: the coordinates and the :attr:`near` list.
+    Rows ``d[i, :]`` and columns ``d[:, i]`` are recomputed from the
+    coordinates in row blocks whenever they are needed.  One sweep over all
+    rows builds the near list and, when the set is screened, feeds the
+    genericity screen (see :mod:`lilyseg.pointprocess`).  Build the table
+    once per point set (see :func:`shared_pair_table`) and reuse it.
 
     The pair kernels (``operator``, ``admissible``, ``stop_matches`` and
-    ``cover``) read the :attr:`near` list: for each row ``i`` the ``_NEAR``
-    pairs of smallest ``m[i, j] = max(d[i, j], d[j, i])`` and ``bound[i]``,
-    the smallest ``m`` left out.  Every admissible stop and every contact
-    of ``i`` beyond ``bound[i]`` costs at least ``bound[i]``, so each kernel
+    ``cover``) read the near list: for each row ``i`` the ``_NEAR`` pairs
+    of smallest ``m[i, j] = max(d[i, j], d[j, i])`` and ``bound[i]``, the
+    smallest ``m`` left out.  Every admissible stop and every contact of
+    ``i`` beyond ``bound[i]`` costs at least ``bound[i]``, so each kernel
     certifies the rows the list answers exactly, with the floating-point
-    expression of its own test, and recomputes the other rows from ``d`` in
-    row blocks.  Results equal the whole-matrix evaluation bit for bit.
+    expression of its own test, and recomputes the other rows whole.
+    Results equal the whole-matrix evaluation bit for bit.
+
+    ``d``, ``transversal``, ``collinear``, ``m``, ``candidate_mask`` and
+    ``stop_values`` give the whole n x n table.  It is built on first use
+    and kept; only the chain and greedy solvers, the descending-chain
+    search and the tests use it.
     """
 
     def __init__(self, points: Sequence[MarkedPoint], angle_tol: float = PARALLEL_TOL):
         self.points = tuple(points)
-        n = len(self.points)
+        self.n = len(self.points)
+        self.angle_tol = angle_tol
+        self.x = np.array([p.x for p in self.points], dtype=float)
+        self.y = np.array([p.y for p in self.points], dtype=float)
+        self.theta = np.array([p.theta for p in self.points], dtype=float)
+        self.ux = np.cos(self.theta)
+        self.uy = np.sin(self.theta)
+        self.radius = np.hypot(self.x, self.y)
+        self._near: Optional[NearList] = None
+        self._condition_reports: dict = {}
+
+    def _block(self, r: np.ndarray, ws: Tuple[np.ndarray, np.ndarray]) -> _Slab:
+        """Rows ``r`` against every column, computed into the workspace ``ws``."""
+        b = len(r)
+        wx, wy, denom, t, d, dT = ws[0][:, :b]
+        parallel, transversal, collinear = ws[1][:, :b]
+        x, y, ux, uy = self.x, self.y, self.ux, self.uy
+        uxr, uyr = ux[r, None], uy[r, None]
+        np.subtract(x, x[r, None], out=wx)
+        np.subtract(y, y[r, None], out=wy)
+        np.multiply(uxr, uy, out=denom)
+        np.subtract(denom, np.multiply(uyr, ux, out=t), out=denom)
+        # d[i, j] = |(wx uy_j - wy ux_j) / denom|.  The swapped pair negates
+        # wx, wy and denom exactly, so d[j, i] = |(wx uy_i - wy ux_i) / denom|
+        # bit for bit.  Quotients for parallel pairs (tiny denominators) are
+        # discarded below; silence the divide/overflow signals they raise.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for out, ua, ub in ((d, uy, ux), (dT, uyr, uxr)):
+                np.multiply(wx, ua, out=out)
+                np.subtract(out, np.multiply(wy, ub, out=t), out=out)
+                np.divide(out, denom, out=out)
+                np.abs(out, out=out)
+        np.less(np.abs(denom, out=t), self.angle_tol, out=parallel)
+        diag = (np.arange(b), r)
+        parallel[diag] = False
+        np.logical_not(parallel, out=transversal)
+        transversal[diag] = False
+        d[diag] = dT[diag] = np.inf
+        collinear.fill(False)
+        if parallel.any():
+            pi, pj = np.nonzero(parallel)
+            d[pi, pj] = dT[pi, pj] = np.inf
+            # Collinear parallels: perpendicular offset below tolerance on
+            # both carriers, relative to the local length scale.  The test
+            # and the half germ distance are symmetric in the pair.
+            pwx, pwy = wx[pi, pj], wy[pi, pj]
+            gi = r[pi]
+            scale = np.maximum(1.0, np.maximum(self.radius[gi], self.radius[pj]))
+            off_a = np.abs(pwx * uy[gi] - pwy * ux[gi])
+            off_b = np.abs(pwx * uy[pj] - pwy * ux[pj])
+            hit = np.maximum(off_a, off_b) < self.angle_tol * scale
+            pi, pj = pi[hit], pj[hit]
+            d[pi, pj] = dT[pi, pj] = 0.5 * np.hypot(pwx[hit], pwy[hit])
+            collinear[pi, pj] = True
+        return _Slab(r, np.broadcast_to(np.arange(self.n), (b, self.n)), d, dT, transversal, collinear)
+
+    def _row_blocks(self, rows: np.ndarray):
+        """``rows`` against every column, in blocks of about ``_BLOCK_PAIRS`` pairs.
+
+        Every block is computed into one workspace, which the next block
+        overwrites: a consumer copies what it keeps.
+        """
+        if len(rows) == 0:
+            return
+        step = max(1, _BLOCK_PAIRS // self.n)
+        shape = (min(step, len(rows)), self.n)
+        ws = (np.empty((6, *shape)), np.empty((3, *shape), dtype=bool))
+        for lo in range(0, len(rows), step):
+            yield self._block(rows[lo:lo + step], ws)
+
+    def _sweep(self):
+        """Every row block in order, building the near list on the way if it is not built yet."""
+        n = self.n
+        if self._near is not None:
+            yield from self._row_blocks(np.arange(n))
+            return
+        width = min(_NEAR, n)
+        j = np.empty((n, width), dtype=np.intp)
+        d, dT = np.empty((n, width)), np.empty((n, width))
+        transversal, collinear = np.empty((n, width), dtype=bool), np.empty((n, width), dtype=bool)
+        bound = np.full(n, np.inf)
+        colmin = np.empty(n)
+        m = None
+        for slab in self._row_blocks(np.arange(n)):
+            lo, hi = slab.rows[0], slab.rows[-1] + 1
+            if m is None:
+                m = np.empty(slab.d.shape)
+            mb = np.maximum(slab.d, slab.dT, out=m[:hi - lo])
+            r = np.arange(hi - lo)[:, None]
+            if width < n:
+                part = np.argpartition(mb, width, axis=1)
+                bound[lo:hi] = mb[r[:, 0], part[:, width]]
+                part = part[:, :width]
+            else:
+                part = np.broadcast_to(np.arange(n), mb.shape)
+            jb = part[r, np.argsort(mb[r, part], axis=1, kind="stable")]
+            j[lo:hi] = jb
+            d[lo:hi], dT[lo:hi] = slab.d[r, jb], slab.dT[r, jb]
+            transversal[lo:hi], collinear[lo:hi] = slab.transversal[r, jb], slab.collinear[r, jb]
+            np.min(slab.dT, axis=1, out=colmin[lo:hi])
+            yield slab
+        self._near = NearList(j, d, dT, transversal, collinear, bound, colmin)
+
+    @property
+    def near(self) -> NearList:
+        """The near list, shared by both models; built once, by one sweep over the rows."""
+        if self._near is None:
+            for _ in self._sweep():
+                pass
+        return self._near
+
+    @cached_property
+    def _dense(self) -> _Dense:
+        n = self.n
         need = n * n * _PAIR_BYTES
         try:
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -304,56 +437,29 @@ class PairTable:
             memory = 0
         if 0 < memory < need:
             raise InputTooLarge(
-                f"{n} points need {need / 2**30:.1f} GiB of pair tables, "
-                f"more than the {memory / 2**30:.1f} GiB of physical memory"
+                f"{n} points need {need / 2**30:.1f} GiB for the dense pair table and the "
+                f"oracle solvers, more than the {memory / 2**30:.1f} GiB of physical memory"
             )
-        self.n = n
-        self.x = np.array([p.x for p in self.points], dtype=float)
-        self.y = np.array([p.y for p in self.points], dtype=float)
-        self.theta = np.array([p.theta for p in self.points], dtype=float)
-        ux = np.cos(self.theta)
-        uy = np.sin(self.theta)
-        self.ux = ux
-        self.uy = uy
+        dense = _Dense(np.empty((n, n)), np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool))
+        for slab in self._row_blocks(np.arange(n)):
+            rows = slice(slab.rows[0], slab.rows[-1] + 1)
+            dense.d[rows], dense.transversal[rows], dense.collinear[rows] = slab.d, slab.transversal, slab.collinear
+        return dense
 
-        self.d = np.empty((n, n))
-        self.transversal = np.empty((n, n), dtype=bool)
-        self.collinear = np.zeros((n, n), dtype=bool)
-        radius = np.hypot(self.x, self.y)
-        rows = max(1, _BLOCK_PAIRS // max(n, 1))
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
-            wx = self.x[None, :] - self.x[lo:hi, None]
-            wy = self.y[None, :] - self.y[lo:hi, None]
-            denom = ux[lo:hi, None] * uy[None, :] - uy[lo:hi, None] * ux[None, :]
-            # Quotients for parallel pairs (tiny denominators) are discarded
-            # below; silence the spurious divide/overflow signals they raise.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                s = (wx * uy[None, :] - wy * ux[None, :]) / denom
-            parallel = np.abs(denom) < angle_tol
-            diag = (np.arange(hi - lo), np.arange(lo, hi))
-            parallel[diag] = False
-            transversal = self.transversal[lo:hi]
-            np.logical_not(parallel, out=transversal)
-            transversal[diag] = False
-            d = self.d[lo:hi]
-            np.abs(s, out=d)
-            d[~transversal] = np.inf
+    @property
+    def d(self) -> np.ndarray:
+        """Growth distances ``d[i, j]`` (dense oracle table)."""
+        return self._dense.d
 
-            # Collinear parallels: perpendicular offset below tolerance on
-            # both carriers, relative to the local length scale.
-            pi, pj = np.nonzero(parallel)
-            if len(pi):
-                pwx, pwy = wx[pi, pj], wy[pi, pj]
-                gi = pi + lo
-                scale = np.maximum(1.0, np.maximum(radius[gi], radius[pj]))
-                off_a = np.abs(pwx * uy[gi] - pwy * ux[gi])
-                off_b = np.abs(pwx * uy[pj] - pwy * ux[pj])
-                hit = np.maximum(off_a, off_b) < angle_tol * scale
-                d[pi[hit], pj[hit]] = 0.5 * np.hypot(pwx[hit], pwy[hit])
-                self.collinear[gi[hit], pj[hit]] = True
+    @property
+    def transversal(self) -> np.ndarray:
+        """Pairs with transversal carriers (dense oracle table)."""
+        return self._dense.transversal
 
-        self._condition_reports: dict = {}
+    @property
+    def collinear(self) -> np.ndarray:
+        """Collinear parallel pairs (dense oracle table)."""
+        return self._dense.collinear
 
     @property
     def m(self) -> np.ndarray:
@@ -377,32 +483,6 @@ class PairTable:
         """Radius at which ``i`` stops on ``j``: ``d`` in Model 1, ``m`` in Model 2."""
         return self.d if model == 1 else self.m
 
-    @cached_property
-    def near(self) -> NearList:
-        """The near list, shared by both models; built once, in row blocks."""
-        n = self.n
-        width = min(_NEAR, n)
-        j = np.empty((n, width), dtype=np.intp)
-        bound = np.full(n, np.inf)
-        colmin = np.full(n, np.inf)
-        rows = max(1, _BLOCK_PAIRS // max(n, 1))
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
-            m = np.maximum(self.d[lo:hi], self.d[:, lo:hi].T)
-            r = np.arange(hi - lo)[:, None]
-            if width < n:
-                part = np.argpartition(m, width, axis=1)
-                bound[lo:hi] = m[r[:, 0], part[:, width]]
-                part = part[:, :width]
-            else:
-                part = np.broadcast_to(np.arange(n), m.shape)
-            j[lo:hi] = part[r, np.argsort(m[r, part], axis=1, kind="stable")]
-            np.minimum(colmin, self.d[lo:hi].min(axis=0), out=colmin)
-        i = np.arange(n)[:, None]
-        return NearList(
-            j, self.d[i, j], self.d[j, i], self.transversal[i, j], self.collinear[i, j], bound, colmin
-        )
-
     def _near_slab(self, rows: Optional[np.ndarray] = None) -> _Slab:
         """The near list as a slab, restricted to ``rows`` when given."""
         near = self.near
@@ -410,14 +490,6 @@ class PairTable:
         if rows is None:
             return _Slab(np.arange(self.n), *pairs)
         return _Slab(rows, *(a[rows] for a in pairs))
-
-    def _dense_slabs(self, rows: np.ndarray):
-        """``rows`` against every column, in blocks of about ``_BLOCK_PAIRS`` pairs."""
-        step = max(1, _BLOCK_PAIRS // max(self.n, 1))
-        for lo in range(0, len(rows), step):
-            r = rows[lo:lo + step]
-            cols = np.broadcast_to(np.arange(self.n), (len(r), self.n))
-            yield _Slab(r, cols, self.d[r], self.d[:, r].T, self.transversal[r], self.collinear[r])
 
     def admissible(
         self, radii: np.ndarray, model: int, tol: float = 0.0, slab: Optional[_Slab] = None
@@ -454,7 +526,7 @@ class PairTable:
         if unsure.any():
             top = np.max(radii)
             unsure &= ~(top <= near.colmin if model == 1 else top < near.colmin)
-            for slab in self._dense_slabs(np.nonzero(unsure)[0]):
+            for slab in self._row_blocks(np.nonzero(unsure)[0]):
                 ok, values = self.admissible(radii, model, slab=slab)
                 out[slab.rows] = np.min(values, axis=1, where=ok, initial=np.inf)
         return out
@@ -513,7 +585,7 @@ class PairTable:
         """The near list over the rows ``listed`` marks, then whole rows ``whole`` marks."""
         rows = np.nonzero(listed)[0]
         yield self._near_slab(None if len(rows) == self.n else rows)
-        yield from self._dense_slabs(np.nonzero(whole)[0])
+        yield from self._row_blocks(np.nonzero(whole)[0])
 
 
 def _check_model(model: int) -> None:

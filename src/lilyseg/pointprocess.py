@@ -8,6 +8,11 @@ is resampled under an incremented attempt counter and logged.  Failures are
 rare but grow with the set: at unit intensity 1 of 40 windows of 45x45
 (n ~ 2000) resampled, and 0 of 100 windows of 30x30.  User-supplied sets
 that fail are a hard error unless explicitly jittered.
+
+The screen is one sweep over row blocks of the pair table (see
+:class:`~lilyseg.geometry.PairTable`), computed from the coordinates; the
+same sweep builds the table's near list, so screening takes O(n^2) time and
+O(n) memory and leaves the set ready to solve.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import (
     InvalidWindow,
     NotEnoughPoints,
 )
-from .geometry import _BLOCK_PAIRS, MarkedPoint, PairTable, shared_pair_table
+from .geometry import MarkedPoint, PairTable, shared_pair_table
 
 log = logging.getLogger(__name__)
 
@@ -36,10 +41,10 @@ REALIZATION_SCHEMA = "1"
 #: Default relative tolerance for near-tie detection among growth distances.
 #: Only distances sharing a germ are compared (those are the only comparisons
 #: the growth protocol makes): the screen sorts each germ's ~2n distances,
-#: its row and column of the pair table.  That is ~2 n^3 comparisons per
-#: realization at unit intensity, so the tolerance sits well below the
-#: typical spacing yet two decades above double-precision noise in the
-#: intersection solves; it still flags 1 of 40 windows of 45x45.
+#: its row d[g, :] and its column d[:, g], as the sweep computes them.  That
+#: is ~2 n^3 comparisons per realization at unit intensity, so the tolerance
+#: sits well below the typical spacing yet two decades above double-precision
+#: noise in the intersection solves; it still flags 1 of 40 windows of 45x45.
 TIE_TOL = 1e-12
 
 
@@ -240,58 +245,36 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
     if cached is not None:
         return cached
     n = table.n
-    d, collinear = table.d, table.collinear
-    ci, cj = np.nonzero(collinear)
-    upper = ci < cj
-    collinear_pairs = list(zip(ci[upper].tolist(), cj[upper].tolist()))
-
-    # Germ g takes part in the distances of row d[g, :] and column d[:, g];
-    # a collinear pair's two orders are one distance (equal by construction),
+    collinear_pairs: List[Tuple[int, int]] = []
+    found: dict = {}
+    values = gaps = scale = flags = None
+    # One sweep over row blocks, which also builds the near list.  Germ g
+    # takes part in the distances of row d[g, :] and column d[:, g]; a
+    # collinear pair's two orders are one distance (equal by construction),
     # so its column copy is masked.  Any germ-sharing pair within tolerance
     # sits inside a run of adjacent sub-tolerance gaps of its germ's sorted
-    # distances; find the germs with such gaps by blocks, vectorized.
-    hit_rows: List[int] = []
-    rows = max(1, _BLOCK_PAIRS // max(2 * n, 1))
-    for g0 in range(0, n, rows):
-        g1 = min(n, g0 + rows)
-        values = np.concatenate((d[g0:g1], d[:, g0:g1].T), axis=1)
-        if collinear_pairs:
-            values[:, n:][collinear[:, g0:g1].T] = np.inf
-        values.sort(axis=1)
+    # distances; find the germs with such gaps by blocks, vectorized, and
+    # verify them exactly while their rows are at hand.
+    for slab in table._sweep():
+        b = len(slab.rows)
+        if values is None:
+            values = np.empty((b, 2 * n))
+            gaps, scale = np.empty((b, 2 * n - 1)), np.empty((b, 2 * n - 1))
+            flags = np.empty((b, 2 * n - 1), dtype=bool)
+        v, gap, tol, hit = values[:b], gaps[:b], scale[:b], flags[:b]
+        v[:, :n], v[:, n:] = slab.d, slab.dT
+        if slab.collinear.any():
+            ci, cj = np.nonzero(slab.collinear)
+            gi = slab.rows[ci]
+            upper = gi < cj
+            collinear_pairs.extend(zip(gi[upper].tolist(), cj[upper].tolist()))
+            np.copyto(v[:, n:], np.inf, where=slab.collinear)
+        v.sort(axis=1)
+        np.multiply(tie_tol, np.maximum(v[:, 1:], 1.0, out=tol), out=tol)
         with np.errstate(invalid="ignore"):
-            gaps = np.diff(values, axis=1) < tie_tol * np.maximum(values[:, 1:], 1.0)
-        hit_rows.extend((g0 + np.nonzero(gaps.any(axis=1))[0]).tolist())
-
-    # Verify candidate pairs inside each run exactly.  A tie between (g, j)
-    # and (j, g) shows under both germs; keep it once.  Entries are ordered
-    # by value, then by row-major index, as one stable sort of all distances
-    # would order them.
-    found = {}
-    for g in hit_rows:
-        row = np.nonzero(np.isfinite(d[g]))[0]
-        col = np.nonzero(np.isfinite(d[:, g]) & ~collinear[:, g])[0]
-        pair = collinear[g, row]  # labelled (min, max), like the collinear_pairs
-        ii = np.concatenate((np.where(pair, np.minimum(g, row), g), col))
-        jj = np.concatenate((np.where(pair, np.maximum(g, row), row), np.full(len(col), g)))
-        values = np.concatenate((d[g, row], d[col, g]))
-        order = np.lexsort((ii * n + jj, values))
-        values, ii, jj = values[order], ii[order], jj[order]
-        diffs = np.diff(values)
-        hits = np.nonzero(diffs < tie_tol * np.maximum(values[1:], 1.0))[0]
-        runs: List[Tuple[int, int]] = []
-        for k in hits.tolist():
-            if runs and k <= runs[-1][1]:
-                runs[-1] = (runs[-1][0], k + 1)
-            else:
-                runs.append((k, k + 1))
-        for lo, hi in runs:
-            for a in range(lo, hi + 1):
-                for b in range(a + 1, hi + 1):
-                    delta = float(values[b] - values[a])
-                    if delta >= tie_tol * max(float(values[b]), 1.0):
-                        continue
-                    ea, eb = (int(ii[a]), int(jj[a])), (int(ii[b]), int(jj[b]))
-                    found[(float(values[a]), ea, float(values[b]), eb)] = (ea, eb, delta)
+            np.less(np.subtract(v[:, 1:], v[:, :-1], out=gap), tol, out=hit)
+        for k in np.nonzero(hit.any(axis=1))[0].tolist():
+            _exact_ties(int(slab.rows[k]), slab.d[k], slab.dT[k], slab.collinear[k], tie_tol, found)
     near = [found[key] for key in sorted(found)]
     report = ConditionDReport(
         passes=not near and not collinear_pairs,
@@ -300,6 +283,41 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
     )
     table._condition_reports[tie_tol] = report
     return report
+
+
+def _exact_ties(g: int, row: np.ndarray, col: np.ndarray, collinear: np.ndarray, tie_tol: float, found: dict) -> None:
+    """Add germ ``g``'s near ties to ``found``, given its row ``d[g, :]``,
+    column ``d[:, g]`` and collinear partners.
+
+    A tie between (g, j) and (j, g) shows under both germs; it is keyed
+    once.  Entries are ordered by value, then by row-major index, as one
+    stable sort of all distances would order them.
+    """
+    n = len(row)
+    r = np.nonzero(np.isfinite(row))[0]
+    c = np.nonzero(np.isfinite(col) & ~collinear)[0]
+    pair = collinear[r]  # labelled (min, max), like the collinear_pairs
+    ii = np.concatenate((np.where(pair, np.minimum(g, r), g), c))
+    jj = np.concatenate((np.where(pair, np.maximum(g, r), r), np.full(len(c), g)))
+    values = np.concatenate((row[r], col[c]))
+    order = np.lexsort((ii * n + jj, values))
+    values, ii, jj = values[order], ii[order], jj[order]
+    diffs = np.diff(values)
+    hits = np.nonzero(diffs < tie_tol * np.maximum(values[1:], 1.0))[0]
+    runs: List[Tuple[int, int]] = []
+    for k in hits.tolist():
+        if runs and k <= runs[-1][1]:
+            runs[-1] = (runs[-1][0], k + 1)
+        else:
+            runs.append((k, k + 1))
+    for lo, hi in runs:
+        for a in range(lo, hi + 1):
+            for b in range(a + 1, hi + 1):
+                delta = float(values[b] - values[a])
+                if delta >= tie_tol * max(float(values[b]), 1.0):
+                    continue
+                ea, eb = (int(ii[a]), int(jj[a])), (int(ii[b]), int(jj[b]))
+                found[(float(values[a]), ea, float(values[b]), eb)] = (ea, eb, delta)
 
 
 def check_condition_d(point_set: MarkedPointSet, tie_tol: float = TIE_TOL) -> ConditionDReport:

@@ -18,6 +18,12 @@ marked point set:
 * ``solve_greedy_oracle``: simulate the growth directly as a sorted sweep
   over candidate contact events; used as an independent oracle.
 
+The fixed-point solve, ``verify_gmhs`` and the structure analysis hold
+O(n) state.  The chain and greedy solvers and ``find_descending_chain``
+are oracles: they read the dense n x n table, which they build on first
+use and which raises :class:`~lilyseg.errors.InputTooLarge` when it would
+not fit in memory.
+
 Model semantics, fixed throughout the package:
 
 * Model 1: a segment stops when one of its own ends reaches another
@@ -323,6 +329,16 @@ def _trace_from(state: _ChainState, start: int, step_budget: int) -> ChainTrace:
         chain.append(nxt)
 
 
+def _oracle_table(point_set: MarkedPointSet) -> PairTable:
+    """The screened table with its dense arrays built.
+
+    The dense arrays come first: an oversized set raises
+    :class:`InputTooLarge` before the O(n^2) screen runs.
+    """
+    shared_pair_table(point_set).d
+    return require_condition_d(point_set)
+
+
 def solve_chain(
     point_set: MarkedPointSet,
     model: int,
@@ -336,7 +352,7 @@ def solve_chain(
     complete.  The result is verified before being returned; on a generic
     set, operator idempotence pins down the unique fixed point.
     """
-    table = require_condition_d(point_set)
+    table = _oracle_table(point_set)
     n = table.n
     state = _ChainState(table, model)
     step_budget = 64 * n * n + 1024
@@ -373,7 +389,7 @@ def solve_greedy_oracle(point_set: MarkedPointSet, model: int) -> Solution:
     they stop each other simultaneously (a doublet).  Genericity makes all
     event times distinct, so the sweep order is unambiguous.
     """
-    table = require_condition_d(point_set)
+    table = _oracle_table(point_set)
     n = table.n
     radii = np.full(n, np.inf)
     resolved = np.zeros(n, dtype=bool)

@@ -459,6 +459,7 @@ def pinned_origin_radii(
     base_seed: int = 0,
     disk_radius: Optional[float] = None,
     censor_escapes: bool = True,
+    workers: int = 1,
 ) -> np.ndarray:
     """Radius of the pinned origin segment, one entry per replication.
 
@@ -475,14 +476,15 @@ def pinned_origin_radii(
 
     Replication ``r`` uses seed ``base_seed + r``.  Replications that raise
     are dropped under the abort budget of ``run_monte_carlo``, so the array
-    holds completed replications only.
+    holds completed replications only.  ``workers > 1`` runs replications
+    in a process pool; the array is the same.
     """
     _check_model(model)
     _check_intensity(intensity)
     if disk_radius is None:
         disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
     job = partial(_pinned_radius, model, intensity, n_neighbors, disk_radius, censor_escapes)
-    kept, _ = _replicate(job, range(base_seed, base_seed + replications))
+    kept, _ = _replicate(job, range(base_seed, base_seed + replications), workers)
     return np.array(kept, dtype=float)
 
 
@@ -537,6 +539,7 @@ def percolation_trend(
     sides: Sequence[float],
     replications: int = 100,
     base_seed: int = 0,
+    workers: int = 1,
 ) -> TrendTable:
     """Track the cluster around the window center as windows grow.
 
@@ -550,7 +553,13 @@ def percolation_trend(
     Side ``k`` uses seeds ``base_seed + 10_000 * k + r``.  Replications
     that raise are dropped under the abort budget of ``run_monte_carlo``,
     applied per side, so each row holds completed replications with a
-    non-empty window only.
+    non-empty window only.  A row with none (every window empty) stays in
+    the table but not in the fit.  ``workers > 1`` runs each side's
+    replications in a process pool; the table is the same.
+
+    Raises :class:`InsufficientSizes` when fewer than three sizes are given,
+    or when fewer than three rows are left for the fit or their mean point
+    counts all coincide, so no slope is defined.
     """
     _check_model(model)
     _check_intensity(intensity)
@@ -560,14 +569,19 @@ def percolation_trend(
     for k, side in enumerate(sides):
         first = base_seed + 10_000 * k
         job = partial(_centre_cluster, model, intensity, Rectangle.square(side))
-        done = [out for out in _replicate(job, range(first, first + replications))[0] if out is not None]
+        done = [out for out in _replicate(job, range(first, first + replications), workers)[0] if out is not None]
         mean, stderr = _batch_mean_stderr([size for size, _ in done])
         points = float(np.mean([n for _, n in done])) if done else 0.0
         rows.append(TrendRow(float(side), points, mean, stderr, len(done)))
 
-    xs = np.array([row.mean_points for row in rows])
-    ys = np.array([row.mean_cluster_size for row in rows])
-    ws = np.array([1.0 / row.stderr**2 if row.stderr and row.stderr > 0 else 1.0 for row in rows])
+    fit = [row for row in rows if row.replications > 0]
+    if len(fit) < 3:
+        raise InsufficientSizes(f"only {len(fit)} of {len(rows)} window sizes had a non-empty window")
+    xs = np.array([row.mean_points for row in fit])
+    if np.all(xs == xs[0]):
+        raise InsufficientSizes("every window size has the same mean point count; no slope is defined")
+    ys = np.array([row.mean_cluster_size for row in fit])
+    ws = np.array([1.0 / row.stderr**2 if row.stderr and row.stderr > 0 else 1.0 for row in fit])
     xbar = float(np.sum(ws * xs) / np.sum(ws))
     ybar = float(np.sum(ws * ys) / np.sum(ws))
     sxx = float(np.sum(ws * (xs - xbar) ** 2))

@@ -14,13 +14,21 @@ from lilyseg import (
     MarkedPointSet,
     NegativeRadius,
     PairKind,
+    Rectangle,
+    analyze,
     fold_direction,
     pair_geometry,
     realize_segment,
     relative_interiors_intersect,
+    sample_poisson,
     segments_touch,
+    solve_chain,
+    solve_fixed_point,
+    solve_greedy_oracle,
+    verify_gmhs,
 )
-from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable
+from lilyseg import geometry
+from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable, shared_pair_table
 from lilyseg.pointprocess import check_condition_d
 
 HALF_PI = math.pi / 2
@@ -302,20 +310,88 @@ def test_table_matches_dense_reference_bytewise(points):
         assert (~table.transversal & np.isinf(table.d)).sum() > len(points)
 
 
+@pytest.mark.parametrize(
+    "points", [_planted_points(700, 2, 0.0), _planted_points(650, 3, 1e6)], ids=["n700", "n650_offset"]
+)
+def test_row_blocks_match_dense_reference_bytewise(points):
+    n = len(points)
+    d, transversal, collinear = _dense_table(points)
+    step = geometry._BLOCK_PAIRS // n
+    table = PairTable(points)
+    # Every row through the sweep's blocks, then an unsorted subset through
+    # the fallback's: rows on both sides of block boundaries, both ends.
+    subset = np.array([n - 1, 0, step - 1, step, step + 1, 2 * step, 5, n // 2])
+    for rows in (np.arange(n), subset):
+        seen = []
+        for slab in table._row_blocks(rows):
+            assert slab.cols.shape == (len(slab.rows), n)
+            assert slab.d.tobytes() == d[slab.rows].tobytes()
+            assert slab.dT.tobytes() == np.ascontiguousarray(d[:, slab.rows].T).tobytes()
+            assert slab.transversal.tobytes() == transversal[slab.rows].tobytes()
+            assert slab.collinear.tobytes() == collinear[slab.rows].tobytes()
+            seen.extend(slab.rows.tolist())
+        assert seen == rows.tolist()
+    # The screen's sweep builds the same near list as a plain sweep.
+    mps = MarkedPointSet(points)
+    check_condition_d(mps)
+    screened = shared_pair_table(mps)
+    assert screened._near is not None
+    for got, want in zip(screened.near, PairTable(points).near):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory size unavailable")
 def test_oversized_set_raises_before_allocating():
-    # 200,000 germs would need about 3.4 TB of pair tables.
+    # 200,000 germs: the dense oracle table would need terabytes; the table
+    # itself holds O(n) arrays.  The screen is left out: it streams in O(n)
+    # memory but would evaluate about 4e10 pairs.
     points = [mp(float(k % 500), float(k // 500), 0.25) for k in range(200_000)]
+    mps = MarkedPointSet(points)
     tracemalloc.start()
     try:
+        table = PairTable(points)
         with pytest.raises(InputTooLarge):
-            PairTable(points)
+            table.d
+        for solve in (solve_chain, solve_greedy_oracle):
+            with pytest.raises(InputTooLarge):
+                solve(mps, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    with pytest.raises(InputTooLarge):
-        check_condition_d(MarkedPointSet(points))
+
+
+def _arrays(value):
+    """Every array an attribute holds, looking inside tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("side, limit_mib", [(45.0, 16), (70.0, 24)])
+def test_production_path_holds_no_dense_table(side, limit_mib):
+    tracemalloc.start()
+    try:
+        mps = sample_poisson(1.0, Rectangle.square(side), seed=1)
+        for model in (1, 2):
+            solution = solve_fixed_point(mps, model)
+            assert verify_gmhs(mps, solution.radii, model).passes
+            analyze(solution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(mps)
+    assert n > 1900
+    assert peak <= limit_mib * 2**20
+    table = shared_pair_table(mps)
+    assert "_dense" not in vars(table)
+    sizes = [a.size for value in vars(table).values() for a in _arrays(value)]
+    assert sizes and max(sizes) < n * n
 
 
 def test_fold_direction():

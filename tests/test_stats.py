@@ -219,6 +219,37 @@ class TestPercolationTrend:
         trend = percolation_trend(2, 1.0, [6.0, 7.0, 8.0], replications=5, base_seed=9)
         assert "slope" in trend.to_csv()
 
+    def test_equal_mean_point_counts_raise(self):
+        # Every non-empty window holds one point, so no slope is defined.
+        with pytest.raises(InsufficientSizes, match="same mean point count"):
+            percolation_trend(2, 0.05, [1.0, 2.0, 3.0], 10, base_seed=2)
+
+    def test_rows_with_only_empty_windows_leave_the_fit(self):
+        # Every window of side 0.5 is empty; two rows are left to fit.
+        with pytest.raises(InsufficientSizes, match="only 2 of 3"):
+            percolation_trend(1, 0.05, [0.5, 3.0, 6.0], 10, base_seed=2)
+        # With a third usable row the empty one stays in the table, outside the fit.
+        trend = percolation_trend(1, 0.05, [0.5, 3.0, 6.0, 9.0], 10, base_seed=2)
+        assert trend.rows[0].replications == 0
+        assert math.isnan(trend.rows[0].mean_cluster_size)
+        assert math.isfinite(trend.slope) and math.isfinite(trend.slope_stderr)
+        fitted = percolation_trend(1, 0.05, [3.0, 6.0, 9.0], 10, base_seed=2 + 10_000)
+        assert (trend.slope, trend.slope_stderr) == (fitted.slope, fitted.slope_stderr)
+
+
+class TestWorkers:
+    """Pinned batches and trends are the same in a process pool."""
+
+    def test_pinned_identical(self):
+        serial = pinned_origin_radii(2, 1.0, 20, 12, base_seed=3)
+        pooled = pinned_origin_radii(2, 1.0, 20, 12, base_seed=3, workers=2)
+        assert serial.tobytes() == pooled.tobytes()
+
+    def test_trend_identical(self):
+        serial = percolation_trend(1, 1.0, [5.0, 6.0, 7.0], 6, base_seed=4)
+        pooled = percolation_trend(1, 1.0, [5.0, 6.0, 7.0], 6, base_seed=4, workers=2)
+        assert serial.to_csv() == pooled.to_csv()
+
 
 def _reference_pinned_origin_radii(
     model, intensity, n_neighbors, replications, base_seed=0, disk_radius=None, censor_escapes=True

@@ -1,6 +1,6 @@
 """Print one SHA-256 digest over the outputs of lilyseg's solvers and checks.
 
-    python3 tools/output_digest.py [--seeds 1000]
+    python3 tools/output_digest.py [--seeds 1000] [--expect HEX]
 
 For every seed s below ``--seeds``, the set ``sample_poisson(1.0,
 Rectangle.square(15.0), s)`` is solved under both models, and ``repr()``
@@ -15,8 +15,9 @@ of the following goes into the digest, in this order:
   scaled by 1.025 and by 0.975.
 
 Two source trees produce the same outputs on these inputs exactly when
-they print the same digest.  The script imports lilyseg from ``src/`` of
-the checkout it sits in.
+they print the same digest.  With ``--expect HEX`` the script exits 1 when
+the digest differs from HEX.  It imports lilyseg from ``src/`` of the
+checkout it sits in.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ def seed_records(seed: int):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=1000, help="digest seeds 0 .. SEEDS-1")
+    ap.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest equals HEX")
     args = ap.parse_args(argv)
     digest = hashlib.sha256()
     for seed in range(args.seeds):
@@ -85,6 +87,9 @@ def main(argv=None) -> int:
             digest.update(record.encode())
             digest.update(b"\n")
     print(f"seeds 0-{args.seeds - 1}: {digest.hexdigest()}")
+    if args.expect is not None and digest.hexdigest() != args.expect.lower():
+        print(f"output_digest.py: expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 
