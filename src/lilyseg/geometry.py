@@ -294,7 +294,8 @@ class PairTable:
 
     The table stores O(n) state: the coordinates and the :attr:`near` list.
     Rows ``d[i, :]`` and columns ``d[:, i]`` are recomputed from the
-    coordinates in row blocks whenever they are needed.  One sweep over all
+    coordinates in row blocks whenever they are needed (or gathered from
+    the dense table below, once it is built).  One sweep over all
     rows builds the near list and, when the set is screened, feeds the
     genericity screen (see :mod:`lilyseg.pointprocess`).  Build the table
     once per point set (see :func:`shared_pair_table`) and reuse it.
@@ -376,12 +377,20 @@ class PairTable:
         """``rows`` against every column, in blocks of about ``_BLOCK_PAIRS`` pairs.
 
         Every block is computed into one workspace, which the next block
-        overwrites: a consumer copies what it keeps.
+        overwrites: a consumer copies what it keeps.  Once the dense table
+        is built, blocks are gathered from it instead of recomputed.
         """
         if len(rows) == 0:
             return
         step = max(1, _BLOCK_PAIRS // self.n)
         shape = (min(step, len(rows)), self.n)
+        dense = vars(self).get("_dense")
+        if dense is not None:
+            cols = np.broadcast_to(np.arange(self.n), shape)
+            for lo in range(0, len(rows), step):
+                r = rows[lo:lo + step]
+                yield _Slab(r, cols[:len(r)], dense.d[r], dense.d[:, r].T, dense.transversal[r], dense.collinear[r])
+            return
         ws = (np.empty((6, *shape)), np.empty((3, *shape), dtype=bool))
         for lo in range(0, len(rows), step):
             yield self._block(rows[lo:lo + step], ws)

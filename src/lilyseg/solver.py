@@ -333,7 +333,8 @@ def _oracle_table(point_set: MarkedPointSet) -> PairTable:
     """The screened table with its dense arrays built.
 
     The dense arrays come first: an oversized set raises
-    :class:`InputTooLarge` before the O(n^2) screen runs.
+    :class:`InputTooLarge` before the O(n^2) screen runs, and the screen
+    then reads its rows from them.
     """
     shared_pair_table(point_set).d
     return require_condition_d(point_set)

@@ -459,7 +459,6 @@ def pinned_origin_radii(
     base_seed: int = 0,
     disk_radius: Optional[float] = None,
     censor_escapes: bool = True,
-    workers: int = 1,
 ) -> np.ndarray:
     """Radius of the pinned origin segment, one entry per replication.
 
@@ -476,15 +475,14 @@ def pinned_origin_radii(
 
     Replication ``r`` uses seed ``base_seed + r``.  Replications that raise
     are dropped under the abort budget of ``run_monte_carlo``, so the array
-    holds completed replications only.  ``workers > 1`` runs replications
-    in a process pool; the array is the same.
+    holds completed replications only.
     """
     _check_model(model)
     _check_intensity(intensity)
     if disk_radius is None:
         disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
     job = partial(_pinned_radius, model, intensity, n_neighbors, disk_radius, censor_escapes)
-    kept, _ = _replicate(job, range(base_seed, base_seed + replications), workers)
+    kept, _ = _replicate(job, range(base_seed, base_seed + replications))
     return np.array(kept, dtype=float)
 
 

@@ -317,27 +317,35 @@ def test_row_blocks_match_dense_reference_bytewise(points):
     n = len(points)
     d, transversal, collinear = _dense_table(points)
     step = geometry._BLOCK_PAIRS // n
-    table = PairTable(points)
+    gathered = PairTable(points)
+    gathered.d  # from here on its blocks are gathered from the dense table
     # Every row through the sweep's blocks, then an unsorted subset through
     # the fallback's: rows on both sides of block boundaries, both ends.
     subset = np.array([n - 1, 0, step - 1, step, step + 1, 2 * step, 5, n // 2])
-    for rows in (np.arange(n), subset):
-        seen = []
-        for slab in table._row_blocks(rows):
-            assert slab.cols.shape == (len(slab.rows), n)
-            assert slab.d.tobytes() == d[slab.rows].tobytes()
-            assert slab.dT.tobytes() == np.ascontiguousarray(d[:, slab.rows].T).tobytes()
-            assert slab.transversal.tobytes() == transversal[slab.rows].tobytes()
-            assert slab.collinear.tobytes() == collinear[slab.rows].tobytes()
-            seen.extend(slab.rows.tolist())
-        assert seen == rows.tolist()
-    # The screen's sweep builds the same near list as a plain sweep.
-    mps = MarkedPointSet(points)
-    check_condition_d(mps)
-    screened = shared_pair_table(mps)
-    assert screened._near is not None
-    for got, want in zip(screened.near, PairTable(points).near):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for table in (PairTable(points), gathered):
+        for rows in (np.arange(n), subset):
+            seen = []
+            for slab in table._row_blocks(rows):
+                assert slab.cols.shape == (len(slab.rows), n)
+                assert slab.d.tobytes() == d[slab.rows].tobytes()
+                assert slab.dT.tobytes() == np.ascontiguousarray(d[:, slab.rows].T).tobytes()
+                assert slab.transversal.tobytes() == transversal[slab.rows].tobytes()
+                assert slab.collinear.tobytes() == collinear[slab.rows].tobytes()
+                seen.extend(slab.rows.tolist())
+            assert seen == rows.tolist()
+    # The screen's sweep builds the same near list as a plain sweep, and the
+    # same report, whether its blocks are computed or gathered.
+    reports = []
+    for dense_first in (False, True):
+        mps = MarkedPointSet(points)
+        if dense_first:
+            shared_pair_table(mps).d
+        reports.append(check_condition_d(mps))
+        screened = shared_pair_table(mps)
+        assert screened._near is not None
+        for got, want in zip(screened.near, PairTable(points).near):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert reports[0] == reports[1] and not reports[0].passes
 
 
 @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory size unavailable")

@@ -238,12 +238,7 @@ class TestPercolationTrend:
 
 
 class TestWorkers:
-    """Pinned batches and trends are the same in a process pool."""
-
-    def test_pinned_identical(self):
-        serial = pinned_origin_radii(2, 1.0, 20, 12, base_seed=3)
-        pooled = pinned_origin_radii(2, 1.0, 20, 12, base_seed=3, workers=2)
-        assert serial.tobytes() == pooled.tobytes()
+    """Trends are the same in a process pool."""
 
     def test_trend_identical(self):
         serial = percolation_trend(1, 1.0, [5.0, 6.0, 7.0], 6, base_seed=4)
