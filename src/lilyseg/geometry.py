@@ -525,6 +525,10 @@ class PairTable:
         (``inf`` when there is none), read off the near list where that is
         exact and recomputed over the whole row elsewhere.
         """
+        return self._operator(radii, model)
+
+    def _operator(self, radii: np.ndarray, model: int, screen=None) -> np.ndarray:
+        """:meth:`operator`, calling ``screen(slab, radii, answers)`` on every block of whole rows."""
         near = self.near
         ok, values = self.admissible(radii, model)
         out = np.min(values, axis=1, where=ok, initial=np.inf)
@@ -538,6 +542,8 @@ class PairTable:
             for slab in self._row_blocks(np.nonzero(unsure)[0]):
                 ok, values = self.admissible(radii, model, slab=slab)
                 out[slab.rows] = np.min(values, axis=1, where=ok, initial=np.inf)
+                if screen is not None:
+                    screen(slab, radii, out[slab.rows])
         return out
 
     def stop_matches(self, radii: np.ndarray, model: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -2,17 +2,45 @@
 
 Sampling draws a Poisson number of germs uniformly in a rectangular or disk
 window with directions i.i.d. uniform on (0, pi), fully determined by a
-64-bit seed.  Sampled sets are screened for the genericity condition
-(finite growth distances sharing a germ mutually distinct); a failing draw
-is resampled under an incremented attempt counter and logged.  Failures are
-rare but grow with the set: at unit intensity 1 of 40 windows of 45x45
-(n ~ 2000) resampled, and 0 of 100 windows of 30x30.  User-supplied sets
-that fail are a hard error unless explicitly jittered.
+64-bit seed.  User-supplied sets that fail the genericity screen are a hard
+error unless explicitly jittered.
 
-The screen is one sweep over row blocks of the pair table (see
-:class:`~lilyseg.geometry.PairTable`), computed from the coordinates; the
-same sweep builds the table's near list, so screening takes O(n^2) time and
-O(n) memory and leaves the set ready to solve.
+Genericity asks that growth distances sharing a germ be distinct, and it
+matters only where the growth protocol compares two of them:
+
+* the stopping operator, for row i: Model-1 candidacy d[i, j] against
+  d[j, i]; the reach rule, radius R_j (itself a distance of germ j) against
+  d[j, i]; and the row minimum over the admissible stop values;
+* ``stop_matches`` and ``cover`` (verification and ``analyze``) compare
+  stop values and contact distances with radii of the same germs, but
+  with a relative slack (1e-9 by default), not exactly: two values within
+  it show as an ambiguous stop or a failed verification, which no screen
+  at the tie tolerance rules out or needs to;
+* the chain solver's confirmation compares a radius or a lower bound of
+  germ j with d[j, i], the reach rule again; the greedy sweep orders events
+  by time and then applies the reach rule.
+
+So the sampling path (``sample_poisson``, ``sample_pinned``) and
+``solve_fixed_point`` screen those comparisons only, for sets of more than
+128 germs (four near-list widths; smaller sets get the full screen, and a
+set that passed it needs no screening while it solves).  At sampling, each
+germ's distances over its near-list closure (the pairs {g, j} with j in
+g's near list or g in j's, both orders) are sorted and gap-tested, and
+every collinear pair fails the set; the sweep over row blocks that builds
+the near list (see :class:`~lilyseg.geometry.PairTable`) finds those pairs.
+During the solve, each row the operator recomputes whole is screened where
+it is computed: its reach and candidacy comparisons, and its finite answer
+against every distance of its germ.  Every tie either stage reports is one
+the full screen reports, so a set the full screen passes solves exactly as
+under it.  ``check_condition_d``, ``require_condition_d``,
+``ensure_condition_d``, ``apply_t1``, ``apply_t2`` and the chain and greedy
+oracles keep the full screen: every germ's ~2n distances, sorted.
+
+A draw the sampling screen rejects is resampled under an incremented
+attempt counter and logged.  First draws at unit intensity that fail, full
+screen against this one: 1 and 0 of 40 windows of 45x45 (n ~ 2000, seeds
+k * 2**20, k = 1..40), 9 and 0 of 12 windows of 100x100 (n ~ 10^4, seeds
+1-12); no solve of those draws raised.
 """
 
 from __future__ import annotations
@@ -21,6 +49,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,20 +61,30 @@ from .errors import (
     InvalidWindow,
     NotEnoughPoints,
 )
-from .geometry import MarkedPoint, PairTable, shared_pair_table
+from . import geometry
+from .geometry import _BLOCK_PAIRS, MarkedPoint, NearList, PairTable, shared_pair_table
 
 log = logging.getLogger(__name__)
 
 REALIZATION_SCHEMA = "1"
 
 #: Default relative tolerance for near-tie detection among growth distances.
-#: Only distances sharing a germ are compared (those are the only comparisons
-#: the growth protocol makes): the screen sorts each germ's ~2n distances,
-#: its row d[g, :] and its column d[:, g], as the sweep computes them.  That
-#: is ~2 n^3 comparisons per realization at unit intensity, so the tolerance
-#: sits well below the typical spacing yet two decades above double-precision
-#: noise in the intersection solves; it still flags 1 of 40 windows of 45x45.
+#: Only distances sharing a germ are compared, and on the sampling and
+#: fixed-point path only those the solve compares (see the module
+#: docstring): about 2 n K values per realization, with K ~ 35 closure
+#: partners per germ at n ~ 2000, rather than the full screen's ~2 n^3
+#: comparisons.  The tolerance sits well below the typical spacing yet two
+#: decades above double-precision noise in the intersection solves.
 TIE_TOL = 1e-12
+
+# The sampling path screens sets of at most this many near-list widths in
+# full: each germ's closure is then a large part of its row, so the closure
+# saves little, and a set the full screen passed needs no screening while
+# it solves.  Measured at width 32 (one set screened, then solved under
+# both models; 2 shared cores, Python 3.11, numpy 2.4): n ~ 44, full 0.35 ms against closure 0.42 ms plus 0.19 ms
+# of row screening; n ~ 100, 1.1 against 1.1 plus 0.44 ms; n ~ 230, 5.1
+# against 3.3 plus 0.6 ms.
+_FULL_SCREEN_WIDTHS = 4
 
 
 @dataclass(frozen=True)
@@ -205,6 +244,17 @@ class MarkedPointSet:
                 raise IdenticalGerms(f"duplicate germ at {key}")
             seen.add(key)
 
+    def __hash__(self) -> int:
+        # Every pair-table lookup hashes the set; hash its n points once.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.points, self.provenance))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        return {"points": self.points, "provenance": self.provenance}
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -233,6 +283,12 @@ class ConditionDReport:
     separately.  The set passes iff both lists are empty.  Coincidences
     between distances of four distinct germs are not flagged: no step of
     the growth protocol ever compares them.
+
+    ``check_condition_d`` reports every germ-sharing pair.  The sampling
+    path's screen (see the module docstring) reports the pairs within each
+    germ's near-list closure, and a fixed-point solve raises with the pairs
+    its recomputed rows compare; both list a subset of the full report's
+    ties, with its labels and order, and every collinear pair.
     """
 
     passes: bool
@@ -263,11 +319,7 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
             flags = np.empty((b, 2 * n - 1), dtype=bool)
         v, gap, tol, hit = values[:b], gaps[:b], scale[:b], flags[:b]
         v[:, :n], v[:, n:] = slab.d, slab.dT
-        if slab.collinear.any():
-            ci, cj = np.nonzero(slab.collinear)
-            gi = slab.rows[ci]
-            upper = gi < cj
-            collinear_pairs.extend(zip(gi[upper].tolist(), cj[upper].tolist()))
+        if _add_collinear_pairs(slab, collinear_pairs):
             np.copyto(v[:, n:], np.inf, where=slab.collinear)
         v.sort(axis=1)
         np.multiply(tie_tol, np.maximum(v[:, 1:], 1.0, out=tol), out=tol)
@@ -275,14 +327,102 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
             np.less(np.subtract(v[:, 1:], v[:, :-1], out=gap), tol, out=hit)
         for k in np.nonzero(hit.any(axis=1))[0].tolist():
             _exact_ties(int(slab.rows[k]), slab.d[k], slab.dT[k], slab.collinear[k], tie_tol, found)
+    report = _report(found, collinear_pairs)
+    table._condition_reports[tie_tol] = report
+    return report
+
+
+def _report(found: dict, collinear_pairs: Sequence[Tuple[int, int]]) -> ConditionDReport:
     near = [found[key] for key in sorted(found)]
-    report = ConditionDReport(
+    return ConditionDReport(
         passes=not near and not collinear_pairs,
         near_ties=tuple(near),
         collinear_pairs=tuple(collinear_pairs),
     )
-    table._condition_reports[tie_tol] = report
+
+
+def _add_collinear_pairs(slab, out: List[Tuple[int, int]]) -> bool:
+    """Append the slab's collinear pairs ``(i, j)``, ``i < j``; whether it holds any."""
+    if not slab.collinear.any():
+        return False
+    ci, cj = np.nonzero(slab.collinear)
+    gi = slab.rows[ci]
+    upper = gi < cj
+    out.extend(zip(gi[upper].tolist(), cj[upper].tolist()))
+    return True
+
+
+def _local_condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDReport:
+    """The screen of the sampling path: near ties within near-list closures only.
+
+    Germ g's closure is the pairs {g, j} with j in g's near list or g in
+    j's; both distances of each pair take part, as in the full screen, and
+    ``_exact_ties`` labels and orders the ties the same way, so every tie
+    found here is one the full screen reports.  The sweep that builds the
+    near list also collects every collinear pair.  Small sets get the full
+    screen (see ``_FULL_SCREEN_WIDTHS``).
+    """
+    key = ("near", tie_tol)
+    reports = table._condition_reports
+    report = reports.get(key)
+    if report is not None:
+        return report
+    full = reports.get(tie_tol)
+    if full is not None and full.passes:
+        return full
+    if table.n <= _FULL_SCREEN_WIDTHS * geometry._NEAR:
+        return _condition_d_from_table(table, tie_tol)
+    collinear_pairs: List[Tuple[int, int]] = []
+    for slab in table._sweep():
+        _add_collinear_pairs(slab, collinear_pairs)
+    found: dict = {}
+    _near_ties(table.near, tie_tol, found)
+    report = reports[key] = _report(found, collinear_pairs)
     return report
+
+
+def _near_ties(near: NearList, tie_tol: float, found: dict) -> None:
+    """Add the near ties among each germ's distances over its near-list closure to ``found``."""
+    n, w = near.j.shape
+    if w == 0:
+        return
+    # m is symmetric, and j's list holds every m[j, :] below bound[j]: a
+    # finite pair {g, j} listed by g alone joins j's closure, its distances
+    # swapped (row value d[j, g], column value d[g, j]).  A pair at exactly
+    # bound[j] may be listed twice; the duplicate is the same distance.
+    m = np.maximum(near.d, near.dT)
+    gi, k = np.nonzero(np.isfinite(m) & (m >= near.bound[near.j]))
+    eg = near.j[gi, k]
+    order = np.argsort(eg, kind="stable")
+    eg, ep = eg[order], gi[order]
+    erow, ecol = near.dT[gi, k][order], near.d[gi, k][order]
+    ecollinear = near.collinear[gi, k][order]
+    counts = np.bincount(eg, minlength=n)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rank = np.arange(len(eg)) - starts[eg]
+    e = int(counts.max())
+    # Each germ's closure values in one padded row, as the full screen's
+    # sort and gap test see its row and column; rows go in blocks.
+    step = max(1, _BLOCK_PAIRS // (2 * (w + e)))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        v = np.full((hi - lo, 2 * (w + e)), np.inf)
+        v[:, :w] = near.d[lo:hi]
+        np.copyto(v[:, w:2 * w], near.dT[lo:hi], where=~near.collinear[lo:hi])
+        x = slice(starts[lo], ends[hi - 1])
+        v[eg[x] - lo, 2 * w + rank[x]] = erow[x]
+        v[eg[x] - lo, 2 * w + e + rank[x]] = np.where(ecollinear[x], np.inf, ecol[x])
+        v.sort(axis=1)
+        with np.errstate(invalid="ignore"):
+            hit = np.subtract(v[:, 1:], v[:, :-1]) < tie_tol * np.maximum(v[:, 1:], 1.0)
+        for g in (np.nonzero(hit.any(axis=1))[0] + lo).tolist():
+            row, col, collinear = np.full(n, np.inf), np.full(n, np.inf), np.zeros(n, dtype=bool)
+            mine = slice(starts[g], ends[g])
+            for cols, d, dT, flags in ((near.j[g], near.d[g], near.dT[g], near.collinear[g]),
+                                       (ep[mine], erow[mine], ecol[mine], ecollinear[mine])):
+                row[cols], col[cols], collinear[cols] = d, dT, flags
+            _exact_ties(g, row, col, collinear, tie_tol, found)
 
 
 def _exact_ties(g: int, row: np.ndarray, col: np.ndarray, collinear: np.ndarray, tie_tol: float, found: dict) -> None:
@@ -320,6 +460,68 @@ def _exact_ties(g: int, row: np.ndarray, col: np.ndarray, collinear: np.ndarray,
                 found[(float(values[a]), ea, float(values[b]), eb)] = (ea, eb, delta)
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where ``a`` and ``b`` are a near tie by the screen's rule (false on ``inf``)."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(a - b) < TIE_TOL * np.maximum(np.maximum(a, b), 1.0)
+
+
+def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray, out: np.ndarray) -> None:
+    """Raise :class:`ConditionDViolation` on a near tie among the comparisons
+    the operator made in the whole rows of ``slab``, whose answers are ``out``.
+
+    Row i compares, for each j, the reach ``radii[j]`` against d[j, i]
+    (skipping j's own stop on i, an element against itself) and, in Model 1,
+    d[i, j] against d[j, i]; its finite answer is checked against every
+    distance of germ i, its row and column, which covers the uniqueness of
+    the row minimum and every later reach comparison against it.  Ties are
+    labelled by ``_exact_ties`` on the compared distances alone, so each is
+    one the full screen reports.
+    """
+    d, dT, collinear = slab.d, slab.dT, slab.collinear
+    finite = np.isfinite(d)
+    reach = radii[slab.cols]
+    candidate = finite & (d > dT) if model == 1 else finite
+    with np.errstate(invalid="ignore"):
+        live = candidate & (reach > 0) & np.isfinite(reach) & ~((reach == dT) & (dT >= d))
+    reach_hit = live & _close(reach, dT)
+    pair_hit = finite & ~collinear & _close(d, dT) if model == 1 else np.zeros_like(finite)
+    answer = out[:, None]
+    row_hit = finite & _close(d, answer)
+    col_hit = finite & ~collinear & _close(dT, answer)
+    crowded = row_hit.sum(axis=1) + col_hit.sum(axis=1) > 1  # the answer itself is one
+    if not (reach_hit.any() or pair_hit.any() or crowded.any()):
+        return
+    found: dict = {}
+    inf = np.inf
+    for a in np.nonzero(pair_hit.any(axis=1) | crowded)[0].tolist():
+        keep_row = pair_hit[a] | (row_hit[a] & crowded[a])
+        keep_col = pair_hit[a] | (col_hit[a] & crowded[a])
+        _exact_ties(int(slab.rows[a]), np.where(keep_row, d[a], inf), np.where(keep_col, dT[a], inf),
+                    collinear[a], TIE_TOL, found)
+    a, b = np.nonzero(reach_hit)
+    germs = slab.cols[a, b]
+    for other in table._row_blocks(np.unique(germs)):
+        for k, g in enumerate(other.rows.tolist()):
+            # Germ g's compared distances: its radius's own element (every
+            # distance of g equal to it) and each d[g, i] held against it.
+            row, col = other.d[k], other.dT[k]
+            keep_row, keep_col = row == radii[g], col == radii[g]
+            keep_row[slab.rows[a[germs == g]]] = True
+            _exact_ties(g, np.where(keep_row, row, inf), np.where(keep_col, col, inf),
+                        other.collinear[k], TIE_TOL, found)
+    if found:
+        raise ConditionDViolation(_report(found, ()), "growth distances compared by the solve are not distinct")
+
+
+def _row_screen(table: PairTable, model: int):
+    """The solve's hook for its whole rows, or ``None`` when the full screen passed the set."""
+    full = table._condition_reports.get(TIE_TOL)
+    if full is not None and full.passes:
+        return None
+    return partial(_screen_rows, table, model)
+
+
 def check_condition_d(point_set: MarkedPointSet, tie_tol: float = TIE_TOL) -> ConditionDReport:
     """Screen a set for mutually distinct finite growth distances."""
     return _condition_d_from_table(shared_pair_table(point_set), tie_tol)
@@ -329,6 +531,15 @@ def require_condition_d(point_set: MarkedPointSet, tie_tol: float = TIE_TOL) -> 
     """Return the pair table, raising :class:`ConditionDViolation` on failure."""
     table = shared_pair_table(point_set)
     report = _condition_d_from_table(table, tie_tol)
+    if not report.passes:
+        raise ConditionDViolation(report)
+    return table
+
+
+def _require_local_condition_d(point_set: MarkedPointSet) -> PairTable:
+    """:func:`require_condition_d` with the sampling path's near-list screen."""
+    table = shared_pair_table(point_set)
+    report = _local_condition_d_from_table(table, TIE_TOL)
     if not report.passes:
         raise ConditionDViolation(report)
     return table
@@ -422,16 +633,19 @@ def sample_poisson(
     The point count is Poisson(intensity * area), germ locations are
     i.i.d. uniform in the window, and directions are i.i.d. uniform on
     (0, pi) (or two-atom if requested), independent of locations.  The
-    result always passes the genericity screen; a failing draw is logged
-    and resampled under the next attempt counter, which preserves
-    determinism of the (intensity, window, seed) triple.
+    result always passes the sampling path's genericity screen, which
+    covers each germ's near-list closure and every collinear pair, or
+    everything on sets of at most 128 germs (see the module docstring;
+    ``check_condition_d`` may still reject a larger set); a failing
+    draw is logged and resampled under the next attempt counter, which
+    preserves determinism of the (intensity, window, seed) triple.
     """
     report = None
     for attempt in range(max_attempts):
         candidate = _draw(intensity, window, seed, attempt, marks)
         if candidate is None:
             continue
-        report = check_condition_d(candidate, tie_tol)
+        report = _local_condition_d_from_table(shared_pair_table(candidate), tie_tol)
         if report.passes:
             return candidate
         log.warning(
@@ -483,8 +697,9 @@ def sample_pinned(
     ``n_neighbors`` expected points, making a short draw (fewer than
     ``n_neighbors`` points) vanishingly rare.  The raw disk draw uses the
     rng stream of :func:`sample_poisson`'s first attempt but is not
-    screened; only the pinned subset is.  Short draws and pinned subsets
-    that fail the screen resample under the next attempt counter.
+    screened; only the pinned subset is, by the sampling path's screen
+    (in full for up to 128 germs).  Short draws and pinned subsets that
+    fail it resample under the next attempt counter.
     """
     if disk_radius is None:
         disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
@@ -498,7 +713,7 @@ def sample_pinned(
             log.warning("short pinned draw (%d < %d points); resampling", len(raw), n_neighbors)
             continue
         pinned = n_closest_to_origin(raw, n_neighbors)
-        if check_condition_d(pinned, tie_tol).passes:
+        if _local_condition_d_from_table(shared_pair_table(pinned), tie_tol).passes:
             return pinned
         log.warning("pinned set failed genericity (seed=%d); resampling", seed)
     raise ConditionDViolation(None, "no generic pinned sample")

@@ -54,6 +54,8 @@ from .errors import (
 from .geometry import PairTable, shared_pair_table
 from .pointprocess import (
     MarkedPointSet,
+    _require_local_condition_d,
+    _row_screen,
     realization_from_json,
     realization_to_json,
     require_condition_d,
@@ -156,8 +158,9 @@ def _solve_fixed_point_array(table: PairTable, model: int) -> Tuple[np.ndarray, 
     max_steps = 2 * n + 4
     prev_even = f
     prev_odd: Optional[np.ndarray] = None
+    screen = _row_screen(table, model)
     for step in range(1, max_steps + 1):
-        f_next = table.operator(f, model)
+        f_next = table._operator(f, model, screen)
         if np.array_equal(f_next, f):
             return f, step
         # Monotone sandwich: even iterates rise, odd iterates fall, and no
@@ -183,8 +186,15 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
     distances, so consecutive iterates become exactly equal after finitely
     many steps; the iteration is capped at ``2n + 4`` applications as a
     safety net.  The result is verified before being returned.
+
+    Genericity is screened where the solve compares distances: the set
+    must pass the sampling path's screen, and unless it passed the full
+    one, every row the operator recomputes whole is screened as it is
+    computed (see :mod:`lilyseg.pointprocess`).  A near tie there raises
+    :class:`~lilyseg.errors.ConditionDViolation`; any tie reported is one
+    ``check_condition_d`` reports too.
     """
-    table = require_condition_d(point_set)
+    table = _require_local_condition_d(point_set)
     radii, steps = _solve_fixed_point_array(table, model)
     solution = Solution(point_set, model, RadiiAssignment.from_array(radii), METHOD_FIXED_POINT, steps)
     _require_verified(solution, table)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lilyseg import MarkedPoint, MarkedPointSet
+from lilyseg import MarkedPoint, MarkedPointSet, Rectangle, fold_direction, sample_poisson
 
 SQRT2 = math.sqrt(2.0)
 
@@ -48,3 +48,28 @@ F3C_RADII_M2 = (2.51862014081332, 2.51862014081332, 3.550284051464707)
 @pytest.fixture(scope="session")
 def f3c() -> MarkedPointSet:
     return MarkedPointSet(F3C_POINTS)
+
+
+def planted_pair(g, c, legs):
+    """Two germs whose carriers cross g's carrier at +c and -c from g.
+
+    Leg ``(t, phi)`` puts a germ at signed distance t across g's carrier,
+    with direction theta + phi, placed so that its carrier crosses g's at
+    the given point.  Their two growth distances from g then agree up to
+    rounding: a near tie sharing g, between values as far out as c and t.
+    """
+    ux, uy = math.cos(g.theta), math.sin(g.theta)
+    points = []
+    for crossing, (t, phi) in zip((c, -c), legs):
+        s = crossing + t / math.tan(phi)
+        points.append(MarkedPoint(g.x + s * ux - t * uy, g.y + s * uy + t * ux, fold_direction(g.theta + phi)))
+    return points
+
+
+@pytest.fixture(scope="session")
+def far_tie() -> MarkedPointSet:
+    """The 15x15 sample of seed 7 (230 germs) plus two germs 40 out along
+    germ 0's carrier, whose distances from germ 0 tie: no near list holds
+    both pairs, and no solve compares the two distances."""
+    base = sample_poisson(1.0, Rectangle.square(15.0), seed=7)
+    return MarkedPointSet(base.points + tuple(planted_pair(base[0], 40.0, ((50.0, 1.0), (-45.0, 2.0)))))

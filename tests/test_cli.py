@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from lilyseg import write_realization
 from lilyseg.cli import main
 
 
@@ -108,6 +109,17 @@ class TestSolve:
         )
         assert run(["solve", "--model", 1, "--in", bad]) == 2
         assert "collinear" in capsys.readouterr().err
+
+    def test_far_tie_solves_by_fixed_point_only(self, far_tie, tmp_path, capsys):
+        # The fixed-point solve screens the comparisons it makes; the oracle
+        # solvers keep the full screen, which reports the tie.
+        path = tmp_path / "far_tie.json"
+        write_realization(far_tie, str(path))
+        for model in (1, 2):
+            assert run(["solve", "--model", model, "--method", "fixed", "--in", path, "--out", tmp_path / "s.json"]) == 0
+            capsys.readouterr()
+            assert run(["solve", "--model", model, "--method", "all", "--in", path]) == 2
+            assert "near tie (0, 230) vs (0, 231)" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert run(["solve", "--model", 1, "--in", tmp_path / "nope.json"]) == 2

@@ -1,6 +1,7 @@
 """Print one SHA-256 digest over the outputs of lilyseg's solvers and checks.
 
     python3 tools/output_digest.py [--seeds 1000] [--expect HEX]
+    python3 tools/output_digest.py --pinned [--expect HEX]
 
 For every seed s below ``--seeds``, the set ``sample_poisson(1.0,
 Rectangle.square(15.0), s)`` is solved under both models, and ``repr()``
@@ -13,6 +14,10 @@ of the following goes into the digest, in this order:
 * ``verify_gmhs`` on each of the three solutions, and on copies of the
   fixed-point radii with the first finite radius, and with all radii,
   scaled by 1.025 and by 0.975.
+
+With ``--pinned`` the digest is instead over the bytes of the pinned-origin
+batch ``pinned_origin_radii(1, 1.0, 41, 10_000)`` (Model 1, 41 neighbours,
+seeds 0-9999), which samples through ``sample_pinned``.
 
 Two source trees produce the same outputs on these inputs exactly when
 they print the same digest.  With ``--expect HEX`` the script exits 1 when
@@ -34,6 +39,7 @@ from lilyseg import (  # noqa: E402
     RadiiAssignment,
     Rectangle,
     analyze,
+    pinned_origin_radii,
     sample_poisson,
     solve_chain,
     solve_fixed_point,
@@ -43,6 +49,7 @@ from lilyseg import (  # noqa: E402
 from lilyseg.structure import stopping_map  # noqa: E402
 
 FACTORS = (1.025, 0.975)
+PINNED = (1, 1.0, 41, 10_000)  # model, intensity, neighbours, replications
 
 
 def scaled_copies(radii: RadiiAssignment):
@@ -79,14 +86,19 @@ def seed_records(seed: int):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=1000, help="digest seeds 0 .. SEEDS-1")
+    ap.add_argument("--pinned", action="store_true", help="digest the pinned-origin batch instead")
     ap.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest equals HEX")
     args = ap.parse_args(argv)
     digest = hashlib.sha256()
-    for seed in range(args.seeds):
-        for record in seed_records(seed):
-            digest.update(record.encode())
-            digest.update(b"\n")
-    print(f"seeds 0-{args.seeds - 1}: {digest.hexdigest()}")
+    if args.pinned:
+        digest.update(pinned_origin_radii(*PINNED).tobytes())
+        print(f"pinned_origin_radii{PINNED}: {digest.hexdigest()}")
+    else:
+        for seed in range(args.seeds):
+            for record in seed_records(seed):
+                digest.update(record.encode())
+                digest.update(b"\n")
+        print(f"seeds 0-{args.seeds - 1}: {digest.hexdigest()}")
     if args.expect is not None and digest.hexdigest() != args.expect.lower():
         print(f"output_digest.py: expected {args.expect}", file=sys.stderr)
         return 1
