@@ -20,6 +20,7 @@ from .errors import (
     InsufficientSizes,
     InsufficientTail,
     InternalConsistencyError,
+    InvalidInput,
     InvalidIntensity,
     InvalidWindow,
     LilysegError,

@@ -9,6 +9,10 @@ class LilysegError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(LilysegError, ValueError):
+    """A value passed in or read from a file is out of range or of the wrong type."""
+
+
 class IdenticalGerms(LilysegError):
     """Two marked points share the same germ location."""
 
@@ -41,7 +45,8 @@ class ConditionDViolation(LilysegError):
     """The genericity condition on growth distances fails.
 
     Carries the offending :class:`~lilyseg.pointprocess.ConditionDReport`
-    in ``args[0].report`` style via the ``report`` attribute.
+    as the ``report`` attribute, or ``None`` when there is no report (a
+    pinned sample that never passed the screen).
     """
 
     def __init__(self, report, message="growth distances are not mutually distinct"):

@@ -40,7 +40,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import IdenticalGerms, InputTooLarge, NegativeRadius
+from .errors import IdenticalGerms, InputTooLarge, InvalidInput, NegativeRadius
 
 #: Two directions are parallel when |sin(theta1 - theta2)| falls below this.
 PARALLEL_TOL = 1e-12
@@ -84,9 +84,9 @@ class MarkedPoint:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"germ coordinates must be finite, got ({self.x}, {self.y})")
+            raise InvalidInput(f"germ coordinates must be finite, got ({self.x}, {self.y})")
         if not (0.0 <= self.theta < math.pi):
-            raise ValueError(f"direction must lie in [0, pi), got {self.theta}")
+            raise InvalidInput(f"direction must lie in [0, pi), got {self.theta}")
 
     @property
     def germ(self) -> Tuple[float, float]:
@@ -128,9 +128,11 @@ def _cross(ax: float, ay: float, bx: float, by: float) -> float:
     return ax * by - ay * bx
 
 
-def pair_geometry(a: MarkedPoint, b: MarkedPoint, tol: float = PARALLEL_TOL) -> PairGeometry:
+def pair_geometry(a: MarkedPoint, b: MarkedPoint) -> PairGeometry:
     """Classify an ordered pair and compute both growth distances.
 
+    The parallel and collinear tests use the fixed ``PARALLEL_TOL``, as
+    :class:`PairTable` does.
     The intersection is solved in parametric form ``P_a + s*u_a = P_b + t*u_b``
     so the distances are |s| and |t| directly.  Swapping the arguments swaps
     ``d_ab``/``d_ba`` and reproduces kind, intersection and ``m`` exactly:
@@ -150,13 +152,13 @@ def pair_geometry(a: MarkedPoint, b: MarkedPoint, tol: float = PARALLEL_TOL) -> 
     wx = b.x - a.x
     wy = b.y - a.y
     denom = _cross(uax, uay, ubx, uby)  # sin(theta_b - theta_a)
-    if abs(denom) < tol:
+    if abs(denom) < PARALLEL_TOL:
         # Parallel carriers: collinear iff the perpendicular offset vanishes
         # relative to the local length scale.  The offset is measured against
         # both carrier lines so the test is exactly symmetric in (a, b).
         scale = max(1.0, math.hypot(a.x, a.y), math.hypot(b.x, b.y))
         off = max(abs(_cross(wx, wy, uax, uay)), abs(_cross(wx, wy, ubx, uby)))
-        if off < tol * scale:
+        if off < PARALLEL_TOL * scale:
             half = 0.5 * math.hypot(wx, wy)
             mid = ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
             return PairGeometry(PairKind.COLLINEAR_PARALLEL, mid, half, half)
@@ -252,7 +254,8 @@ def segments_touch(s1: Segment, s2: Segment, tol: float = CONTACT_TOL) -> bool:
 
 
 class NearList(NamedTuple):
-    """Each germ's pairs of smallest later-arrival time ``m`` (see :class:`PairTable`)."""
+    """Each germ's pairs of smallest later-arrival time ``m`` (see :class:`PairTable`),
+    and every collinear pair of the set, recorded by the sweep that builds the list."""
 
     j: np.ndarray  # (n, w) partners of row i by ascending m[i, j], w = min(_NEAR, n)
     d: np.ndarray  # d[i, j] along the list
@@ -261,6 +264,7 @@ class NearList(NamedTuple):
     collinear: np.ndarray
     bound: np.ndarray  # smallest m[i, j] left out of row i, inf when none is
     colmin: np.ndarray  # min over j of d[j, i]
+    collinear_pairs: np.ndarray  # (k, 2) every collinear pair (i, j), i < j, in row-major order
 
 
 class _Slab(NamedTuple):
@@ -296,9 +300,11 @@ class PairTable:
     Rows ``d[i, :]`` and columns ``d[:, i]`` are recomputed from the
     coordinates in row blocks whenever they are needed (or gathered from
     the dense table below, once it is built).  One sweep over all
-    rows builds the near list and, when the set is screened, feeds the
-    genericity screen (see :mod:`lilyseg.pointprocess`).  Build the table
-    once per point set (see :func:`shared_pair_table`) and reuse it.
+    rows builds the near list, with every collinear pair, and feeds the
+    full genericity screen when one runs (see :mod:`lilyseg.pointprocess`);
+    the sampling path's screen reads the list alone.  Pairs are parallel
+    by the fixed ``PARALLEL_TOL``, as in :func:`pair_geometry`.  Build the
+    table once per point set (see :func:`shared_pair_table`) and reuse it.
 
     The pair kernels (``operator``, ``admissible``, ``stop_matches`` and
     ``cover``) read the near list: for each row ``i`` the ``_NEAR`` pairs
@@ -315,10 +321,9 @@ class PairTable:
     search and the tests use it.
     """
 
-    def __init__(self, points: Sequence[MarkedPoint], angle_tol: float = PARALLEL_TOL):
+    def __init__(self, points: Sequence[MarkedPoint]):
         self.points = tuple(points)
         self.n = len(self.points)
-        self.angle_tol = angle_tol
         self.x = np.array([p.x for p in self.points], dtype=float)
         self.y = np.array([p.y for p in self.points], dtype=float)
         self.theta = np.array([p.theta for p in self.points], dtype=float)
@@ -349,7 +354,7 @@ class PairTable:
                 np.subtract(out, np.multiply(wy, ub, out=t), out=out)
                 np.divide(out, denom, out=out)
                 np.abs(out, out=out)
-        np.less(np.abs(denom, out=t), self.angle_tol, out=parallel)
+        np.less(np.abs(denom, out=t), PARALLEL_TOL, out=parallel)
         diag = (np.arange(b), r)
         parallel[diag] = False
         np.logical_not(parallel, out=transversal)
@@ -367,7 +372,7 @@ class PairTable:
             scale = np.maximum(1.0, np.maximum(self.radius[gi], self.radius[pj]))
             off_a = np.abs(pwx * uy[gi] - pwy * ux[gi])
             off_b = np.abs(pwx * uy[pj] - pwy * ux[pj])
-            hit = np.maximum(off_a, off_b) < self.angle_tol * scale
+            hit = np.maximum(off_a, off_b) < PARALLEL_TOL * scale
             pi, pj = pi[hit], pj[hit]
             d[pi, pj] = dT[pi, pj] = 0.5 * np.hypot(pwx[hit], pwy[hit])
             collinear[pi, pj] = True
@@ -407,6 +412,7 @@ class PairTable:
         transversal, collinear = np.empty((n, width), dtype=bool), np.empty((n, width), dtype=bool)
         bound = np.full(n, np.inf)
         colmin = np.empty(n)
+        pairs = [np.empty((0, 2), dtype=np.intp)]
         m = None
         for slab in self._row_blocks(np.arange(n)):
             lo, hi = slab.rows[0], slab.rows[-1] + 1
@@ -425,8 +431,12 @@ class PairTable:
             d[lo:hi], dT[lo:hi] = slab.d[r, jb], slab.dT[r, jb]
             transversal[lo:hi], collinear[lo:hi] = slab.transversal[r, jb], slab.collinear[r, jb]
             np.min(slab.dT, axis=1, out=colmin[lo:hi])
+            if slab.collinear.any():
+                ci, cj = np.nonzero(slab.collinear)
+                ci += lo
+                pairs.append(np.column_stack((ci, cj))[ci < cj])
             yield slab
-        self._near = NearList(j, d, dT, transversal, collinear, bound, colmin)
+        self._near = NearList(j, d, dT, transversal, collinear, bound, colmin, np.concatenate(pairs))
 
     @property
     def near(self) -> NearList:
@@ -605,7 +615,7 @@ class PairTable:
 
 def _check_model(model: int) -> None:
     if model not in (1, 2):
-        raise ValueError(f"model must be 1 or 2, got {model}")
+        raise InvalidInput(f"model must be 1 or 2, got {model}")
 
 
 _table_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

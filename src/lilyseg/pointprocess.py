@@ -26,8 +26,9 @@ So the sampling path (``sample_poisson``, ``sample_pinned``) and
 set that passed it needs no screening while it solves).  At sampling, each
 germ's distances over its near-list closure (the pairs {g, j} with j in
 g's near list or g in j's, both orders) are sorted and gap-tested, and
-every collinear pair fails the set; the sweep over row blocks that builds
-the near list (see :class:`~lilyseg.geometry.PairTable`) finds those pairs.
+every collinear pair fails the set; the near-list build (see
+:class:`~lilyseg.geometry.PairTable`) records those pairs, so a set whose
+list exists is screened without computing a row.
 During the solve, each row the operator recomputes whole is screened where
 it is computed: its reach and candidacy comparisons, and its finite answer
 against every distance of its germ.  Every tie either stage reports is one
@@ -57,6 +58,7 @@ import numpy as np
 from .errors import (
     ConditionDViolation,
     IdenticalGerms,
+    InvalidInput,
     InvalidIntensity,
     InvalidWindow,
     NotEnoughPoints,
@@ -68,8 +70,9 @@ log = logging.getLogger(__name__)
 
 REALIZATION_SCHEMA = "1"
 
-#: Default relative tolerance for near-tie detection among growth distances.
-#: Only distances sharing a germ are compared, and on the sampling and
+#: Relative tolerance for near-tie detection among growth distances, fixed
+#: everywhere but in ``check_condition_d``, the diagnostic, which takes
+#: another.  Only distances sharing a germ are compared, and on the sampling and
 #: fixed-point path only those the solve compares (see the module
 #: docstring): about 2 n K values per realization, with K ~ 35 closure
 #: partners per germ at n ~ 2000, rather than the full screen's ~2 n^3
@@ -301,10 +304,10 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
     if cached is not None:
         return cached
     n = table.n
-    collinear_pairs: List[Tuple[int, int]] = []
     found: dict = {}
     values = gaps = scale = flags = None
-    # One sweep over row blocks, which also builds the near list.  Germ g
+    # One sweep over row blocks, which also builds the near list and
+    # records the collinear pairs (see PairTable.near).  Germ g
     # takes part in the distances of row d[g, :] and column d[:, g]; a
     # collinear pair's two orders are one distance (equal by construction),
     # so its column copy is masked.  Any germ-sharing pair within tolerance
@@ -319,7 +322,7 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
             flags = np.empty((b, 2 * n - 1), dtype=bool)
         v, gap, tol, hit = values[:b], gaps[:b], scale[:b], flags[:b]
         v[:, :n], v[:, n:] = slab.d, slab.dT
-        if _add_collinear_pairs(slab, collinear_pairs):
+        if slab.collinear.any():
             np.copyto(v[:, n:], np.inf, where=slab.collinear)
         v.sort(axis=1)
         np.multiply(tie_tol, np.maximum(v[:, 1:], 1.0, out=tol), out=tol)
@@ -327,29 +330,14 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
             np.less(np.subtract(v[:, 1:], v[:, :-1], out=gap), tol, out=hit)
         for k in np.nonzero(hit.any(axis=1))[0].tolist():
             _exact_ties(int(slab.rows[k]), slab.d[k], slab.dT[k], slab.collinear[k], tie_tol, found)
-    report = _report(found, collinear_pairs)
-    table._condition_reports[tie_tol] = report
+    report = table._condition_reports[tie_tol] = _report(found, table.near.collinear_pairs.tolist())
     return report
 
 
-def _report(found: dict, collinear_pairs: Sequence[Tuple[int, int]]) -> ConditionDReport:
-    near = [found[key] for key in sorted(found)]
-    return ConditionDReport(
-        passes=not near and not collinear_pairs,
-        near_ties=tuple(near),
-        collinear_pairs=tuple(collinear_pairs),
-    )
-
-
-def _add_collinear_pairs(slab, out: List[Tuple[int, int]]) -> bool:
-    """Append the slab's collinear pairs ``(i, j)``, ``i < j``; whether it holds any."""
-    if not slab.collinear.any():
-        return False
-    ci, cj = np.nonzero(slab.collinear)
-    gi = slab.rows[ci]
-    upper = gi < cj
-    out.extend(zip(gi[upper].tolist(), cj[upper].tolist()))
-    return True
+def _report(found: dict, collinear_pairs: Sequence[Sequence[int]]) -> ConditionDReport:
+    near = tuple(found[key] for key in sorted(found))
+    pairs = tuple(map(tuple, collinear_pairs))
+    return ConditionDReport(passes=not near and not pairs, near_ties=near, collinear_pairs=pairs)
 
 
 def _local_condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDReport:
@@ -358,27 +346,23 @@ def _local_condition_d_from_table(table: PairTable, tie_tol: float) -> Condition
     Germ g's closure is the pairs {g, j} with j in g's near list or g in
     j's; both distances of each pair take part, as in the full screen, and
     ``_exact_ties`` labels and orders the ties the same way, so every tie
-    found here is one the full screen reports.  The sweep that builds the
-    near list also collects every collinear pair.  Small sets get the full
-    screen (see ``_FULL_SCREEN_WIDTHS``).
+    found here is one the full screen reports.  The collinear pairs come
+    with the near list, so a table whose list is built computes no row
+    here.  Small sets get the full screen (see ``_FULL_SCREEN_WIDTHS``),
+    and a set that passed it returns that report.
     """
-    key = ("near", tie_tol)
     reports = table._condition_reports
-    report = reports.get(key)
-    if report is not None:
-        return report
     full = reports.get(tie_tol)
     if full is not None and full.passes:
         return full
     if table.n <= _FULL_SCREEN_WIDTHS * geometry._NEAR:
         return _condition_d_from_table(table, tie_tol)
-    collinear_pairs: List[Tuple[int, int]] = []
-    for slab in table._sweep():
-        _add_collinear_pairs(slab, collinear_pairs)
-    found: dict = {}
-    _near_ties(table.near, tie_tol, found)
-    report = reports[key] = _report(found, collinear_pairs)
-    return report
+    key = ("near", tie_tol)
+    if key not in reports:
+        found: dict = {}
+        _near_ties(table.near, tie_tol, found)
+        reports[key] = _report(found, table.near.collinear_pairs.tolist())
+    return reports[key]
 
 
 def _near_ties(near: NearList, tie_tol: float, found: dict) -> None:
@@ -514,58 +498,48 @@ def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray, out: np.
         raise ConditionDViolation(_report(found, ()), "growth distances compared by the solve are not distinct")
 
 
-def _row_screen(table: PairTable, model: int):
-    """The solve's hook for its whole rows, or ``None`` when the full screen passed the set."""
-    full = table._condition_reports.get(TIE_TOL)
-    if full is not None and full.passes:
-        return None
-    return partial(_screen_rows, table, model)
-
-
 def check_condition_d(point_set: MarkedPointSet, tie_tol: float = TIE_TOL) -> ConditionDReport:
     """Screen a set for mutually distinct finite growth distances."""
     return _condition_d_from_table(shared_pair_table(point_set), tie_tol)
 
 
-def require_condition_d(point_set: MarkedPointSet, tie_tol: float = TIE_TOL) -> PairTable:
+def require_condition_d(point_set: MarkedPointSet) -> PairTable:
     """Return the pair table, raising :class:`ConditionDViolation` on failure."""
     table = shared_pair_table(point_set)
-    report = _condition_d_from_table(table, tie_tol)
+    report = _condition_d_from_table(table, TIE_TOL)
     if not report.passes:
         raise ConditionDViolation(report)
     return table
 
 
-def _require_local_condition_d(point_set: MarkedPointSet) -> PairTable:
-    """:func:`require_condition_d` with the sampling path's near-list screen."""
+def _fixed_point_screen(point_set: MarkedPointSet, model: int) -> Tuple[PairTable, Optional[partial]]:
+    """The table that passed the sampling path's screen, and the hook that
+    screens the operator's whole rows, ``None`` if the full screen passed."""
     table = shared_pair_table(point_set)
     report = _local_condition_d_from_table(table, TIE_TOL)
     if not report.passes:
         raise ConditionDViolation(report)
-    return table
+    if report is table._condition_reports.get(TIE_TOL):
+        return table, None
+    return table, partial(_screen_rows, table, model)
 
 
-def ensure_condition_d(
-    point_set: MarkedPointSet,
-    tie_tol: float = TIE_TOL,
-    perturb: bool = False,
-    seed: int = 0,
-    max_attempts: int = 8,
-) -> MarkedPointSet:
+def ensure_condition_d(point_set: MarkedPointSet, *, perturb: bool = False, seed: int = 0) -> MarkedPointSet:
     """Validate a user-supplied set, optionally jittering germs into genericity.
 
-    Without ``perturb`` a failing set raises.  With it, germs receive a
-    uniform jitter of at most ``1e-9 * scale`` per coordinate (scale being
-    the larger of 1 and the germ norm) until the screen passes.
+    The full screen runs at ``TIE_TOL``.  Without ``perturb`` a failing set
+    raises.  With it, germs receive a uniform jitter of at most ``1e-9 *
+    scale`` per coordinate (scale being the larger of 1 and the germ norm)
+    until the screen passes, for at most 8 jitters.
     """
-    report = check_condition_d(point_set, tie_tol)
+    report = check_condition_d(point_set)
     if report.passes:
         return point_set
     if not perturb:
         raise ConditionDViolation(report)
     coords = point_set.coords()
     scale = np.maximum(1.0, np.hypot(coords[:, 0], coords[:, 1]))
-    for attempt in range(max_attempts):
+    for attempt in range(8):
         rng = np.random.default_rng((_fold_seed(seed), 0x6A09, attempt))
         jitter = rng.uniform(-1.0, 1.0, coords.shape) * (1e-9 * scale[:, None])
         moved = coords + jitter
@@ -576,7 +550,7 @@ def ensure_condition_d(
             ),
             provenance=point_set.provenance,
         )
-        report = check_condition_d(candidate, tie_tol)
+        report = check_condition_d(candidate)
         if report.passes:
             log.info("jittered point set into genericity after %d attempt(s)", attempt + 1)
             return candidate
@@ -625,8 +599,6 @@ def sample_poisson(
     window: Window,
     seed: int,
     marks: Union[str, TwoAtomMarks] = "uniform",
-    tie_tol: float = TIE_TOL,
-    max_attempts: int = 16,
 ) -> MarkedPointSet:
     """Sample a marked Poisson process in a window, deterministically per seed.
 
@@ -636,16 +608,17 @@ def sample_poisson(
     result always passes the sampling path's genericity screen, which
     covers each germ's near-list closure and every collinear pair, or
     everything on sets of at most 128 germs (see the module docstring;
-    ``check_condition_d`` may still reject a larger set); a failing
-    draw is logged and resampled under the next attempt counter, which
-    preserves determinism of the (intensity, window, seed) triple.
+    ``check_condition_d`` may still reject a larger set), at ``TIE_TOL``; a
+    failing draw is logged and resampled under the next attempt counter,
+    which preserves determinism of the (intensity, window, seed) triple.
+    After 16 draws it raises :class:`ConditionDViolation`.
     """
     report = None
-    for attempt in range(max_attempts):
+    for attempt in range(16):
         candidate = _draw(intensity, window, seed, attempt, marks)
         if candidate is None:
             continue
-        report = _local_condition_d_from_table(shared_pair_table(candidate), tie_tol)
+        report = _local_condition_d_from_table(shared_pair_table(candidate), TIE_TOL)
         if report.passes:
             return candidate
         log.warning(
@@ -654,7 +627,7 @@ def sample_poisson(
             attempt,
             len(report.near_ties),
         )
-    raise ConditionDViolation(report, f"no generic sample after {max_attempts} attempts")
+    raise ConditionDViolation(report, "no generic sample after 16 attempts")
 
 
 ORIGIN_PIN = MarkedPoint(0.0, 0.0, 0.0)
@@ -673,7 +646,7 @@ def n_closest_to_origin(
     typical segment.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InvalidInput(f"n must be positive, got {n}")
     if len(point_set) < n:
         raise NotEnoughPoints(f"asked for {n} of {len(point_set)} points")
     pin = pinned if pinned is not None else ORIGIN_PIN
@@ -689,7 +662,6 @@ def sample_pinned(
     n_neighbors: int,
     seed: int,
     disk_radius: Optional[float] = None,
-    tie_tol: float = TIE_TOL,
 ) -> MarkedPointSet:
     """Sample a disk realization around the origin and pin the origin point.
 
@@ -698,8 +670,9 @@ def sample_pinned(
     ``n_neighbors`` points) vanishingly rare.  The raw disk draw uses the
     rng stream of :func:`sample_poisson`'s first attempt but is not
     screened; only the pinned subset is, by the sampling path's screen
-    (in full for up to 128 germs).  Short draws and pinned subsets that
-    fail it resample under the next attempt counter.
+    (in full for up to 128 germs) at ``TIE_TOL``.  Short draws and pinned
+    subsets that fail it resample under the next attempt counter, for at
+    most 32 draws.
     """
     if disk_radius is None:
         disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
@@ -713,7 +686,7 @@ def sample_pinned(
             log.warning("short pinned draw (%d < %d points); resampling", len(raw), n_neighbors)
             continue
         pinned = n_closest_to_origin(raw, n_neighbors)
-        if _local_condition_d_from_table(shared_pair_table(pinned), tie_tol).passes:
+        if _local_condition_d_from_table(shared_pair_table(pinned), TIE_TOL).passes:
             return pinned
         log.warning("pinned set failed genericity (seed=%d); resampling", seed)
     raise ConditionDViolation(None, "no generic pinned sample")
@@ -735,12 +708,16 @@ def realization_to_json(point_set: MarkedPointSet) -> dict:
 
 
 def realization_from_json(obj: dict) -> MarkedPointSet:
-    points = tuple(MarkedPoint(rec["x"], rec["y"], rec["theta"]) for rec in obj["points"])
-    window = window_from_json(obj.get("window"))
-    if obj.get("seed") is None or obj.get("lambda") is None or window is None:
-        provenance = None
-    else:
-        provenance = Provenance(seed=int(obj["seed"]), intensity=float(obj["lambda"]), window=window)
+    """Parse a realization payload; raises :class:`InvalidInput` on a value of the wrong type or range."""
+    try:
+        points = tuple(MarkedPoint(rec["x"], rec["y"], rec["theta"]) for rec in obj["points"])
+        window = window_from_json(obj.get("window"))
+        if obj.get("seed") is None or obj.get("lambda") is None or window is None:
+            provenance = None
+        else:
+            provenance = Provenance(seed=int(obj["seed"]), intensity=float(obj["lambda"]), window=window)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed realization: {exc}") from None
     return MarkedPointSet(points, provenance=provenance)
 
 

@@ -46,16 +46,16 @@ import numpy as np
 
 from .errors import (
     AlgorithmDivergence,
+    InvalidInput,
     NegativeRadius,
     NonConvergence,
     RadiiMismatch,
     VerificationFailed,
 )
-from .geometry import PairTable, shared_pair_table
+from .geometry import PairTable, _check_model, shared_pair_table
 from .pointprocess import (
     MarkedPointSet,
-    _require_local_condition_d,
-    _row_screen,
+    _fixed_point_screen,
     realization_from_json,
     realization_to_json,
     require_condition_d,
@@ -150,7 +150,7 @@ def apply_t2(f: RadiiAssignment, point_set: MarkedPointSet) -> RadiiAssignment:
     return RadiiAssignment.from_array(table.operator(f.to_array(), 2))
 
 
-def _solve_fixed_point_array(table: PairTable, model: int) -> Tuple[np.ndarray, int]:
+def _solve_fixed_point_array(table: PairTable, model: int, screen) -> Tuple[np.ndarray, int]:
     n = table.n
     if n == 0:
         return np.zeros(0), 0
@@ -158,7 +158,6 @@ def _solve_fixed_point_array(table: PairTable, model: int) -> Tuple[np.ndarray, 
     max_steps = 2 * n + 4
     prev_even = f
     prev_odd: Optional[np.ndarray] = None
-    screen = _row_screen(table, model)
     for step in range(1, max_steps + 1):
         f_next = table._operator(f, model, screen)
         if np.array_equal(f_next, f):
@@ -194,8 +193,8 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
     :class:`~lilyseg.errors.ConditionDViolation`; any tie reported is one
     ``check_condition_d`` reports too.
     """
-    table = _require_local_condition_d(point_set)
-    radii, steps = _solve_fixed_point_array(table, model)
+    table, screen = _fixed_point_screen(point_set, model)
+    radii, steps = _solve_fixed_point_array(table, model, screen)
     solution = Solution(point_set, model, RadiiAssignment.from_array(radii), METHOD_FIXED_POINT, steps)
     _require_verified(solution, table)
     return solution
@@ -604,22 +603,20 @@ def _require_matching(point_set: MarkedPointSet, radii: RadiiAssignment) -> None
 
 
 def solution_from_json(obj: dict) -> Solution:
-    """Parse a solution payload; raises :class:`RadiiMismatch` or :class:`NegativeRadius`."""
+    """Parse a solution payload; raises :class:`RadiiMismatch`, :class:`NegativeRadius`
+    or :class:`InvalidInput`."""
     point_set = realization_from_json(obj["realization"])
-    radii = RadiiAssignment(
-        tuple(math.inf if r == "inf" else float(r) for r in obj["radii"])
-    )
+    try:
+        radii = RadiiAssignment(tuple(math.inf if r == "inf" else float(r) for r in obj["radii"]))
+        model, iterations = int(obj["model"]), int(obj.get("iterations", 0))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed solution: {exc}") from None
+    _check_model(model)
     _require_matching(point_set, radii)
     bad = [r for r in radii if not r >= 0.0]
     if bad:
         raise NegativeRadius(f"radius must be in [0, inf], got {bad[0]}")
-    return Solution(
-        point_set,
-        int(obj["model"]),
-        radii,
-        str(obj.get("method", "unknown")),
-        int(obj.get("iterations", 0)),
-    )
+    return Solution(point_set, model, radii, str(obj.get("method", "unknown")), iterations)
 
 
 def write_solution(solution: Solution, fp: Union[str, IO[str]]) -> None:

@@ -36,6 +36,7 @@ from .errors import (
     AbortRateExceeded,
     InsufficientSizes,
     InsufficientTail,
+    InvalidInput,
     LilysegError,
 )
 from .geometry import _check_model
@@ -67,16 +68,16 @@ class McConfig:
         _check_model(self.model)
         _check_intensity(self.intensity)
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise InvalidInput(f"replications must be >= 1, got {self.replications}")
         if self.margin < 0:
-            raise ValueError("margin must be >= 0")
+            raise InvalidInput(f"margin must be >= 0, got {self.margin}")
         if isinstance(self.window, Rectangle):
             inner_w = self.window.xmax - self.window.xmin - 2 * self.margin
             inner_h = self.window.ymax - self.window.ymin - 2 * self.margin
             if inner_w <= 0 or inner_h <= 0:
-                raise ValueError("margin leaves no interior in the window")
+                raise InvalidInput("margin leaves no interior in the window")
         elif isinstance(self.window, Disk) and self.window.radius <= self.margin:
-            raise ValueError("margin leaves no interior in the window")
+            raise InvalidInput("margin leaves no interior in the window")
 
     def hash(self) -> str:
         return _config_hash(
@@ -479,6 +480,8 @@ def pinned_origin_radii(
     """
     _check_model(model)
     _check_intensity(intensity)
+    if n_neighbors < 1:  # checked here: inside a replication it would count as an abort
+        raise InvalidInput(f"n_neighbors must be positive, got {n_neighbors}")
     if disk_radius is None:
         disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
     job = partial(_pinned_radius, model, intensity, n_neighbors, disk_radius, censor_escapes)

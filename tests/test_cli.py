@@ -124,6 +124,15 @@ class TestSolve:
     def test_missing_file(self, tmp_path):
         assert run(["solve", "--model", 1, "--in", tmp_path / "nope.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "point", [{"x": 1.0, "y": 0.0, "theta": 4.0}, {"x": "1.0", "y": 0.0, "theta": 0.0}], ids=["theta", "text"]
+    )
+    def test_bad_point_value_exits_2(self, tmp_path, capsys, point):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema_version": "1", "points": [{"x": 0.0, "y": 0.0, "theta": 0.0}, point]}))
+        assert run(["solve", "--model", 1, "--in", path]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed realization")
+
 
 class TestAnalyzeRender:
     def test_analyze_f3(self, f3_file, tmp_path):
@@ -157,11 +166,12 @@ class TestAnalyzeRender:
 class TestMalformedSolution:
     @pytest.mark.parametrize("command", ["analyze", "render"])
     @pytest.mark.parametrize(
-        "radii",
-        [[4.0], [4.0, "inf", 1.0], [-4.0, "inf"], [float("nan"), "inf"]],
-        ids=["short", "long", "negative", "nan"],
+        "radii, model",
+        [([4.0], 1), ([4.0, "inf", 1.0], 1), ([-4.0, "inf"], 1), ([float("nan"), "inf"], 1),
+         ([4.0, "inf"], 3), (["abc", "inf"], 1)],
+        ids=["short", "long", "negative", "nan", "model_3", "text_radius"],
     )
-    def test_exits_2_with_error_line(self, tmp_path, capsys, command, radii):
+    def test_exits_2_with_error_line(self, tmp_path, capsys, command, radii, model):
         realization = {
             "schema_version": "1",
             "seed": None,
@@ -174,7 +184,7 @@ class TestMalformedSolution:
         }
         path = tmp_path / "bad.json"
         path.write_text(
-            json.dumps({"schema_version": "1", "model": 1, "realization": realization, "radii": radii})
+            json.dumps({"schema_version": "1", "model": model, "realization": realization, "radii": radii})
         )
         assert run([command, "--in", path]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -226,6 +236,24 @@ class TestMc:
         )
         assert code == 2
         assert "aborted" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--lambda", 1, "--disk", 5, "--seed", 1, "--n-closest", 0],
+        ["mc", "--model", 1, "--reps", 0],
+        ["mc", "--model", 1, "--window", "10x10", "--margin", 8],
+    ],
+    ids=["n_closest_0", "reps_0", "margin_fills_window"],
+)
+def test_out_of_range_flag_exits_2(tmp_path, capsys, caplog, args):
+    # Rejected before the first replication, not counted as aborts.
+    if args[0] == "mc":
+        args = args + ["--out-dir", tmp_path / "o"]
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert "aborted" not in caplog.text
 
 
 class TestRoundTrip:

@@ -38,7 +38,7 @@ from lilyseg import (
 )
 from lilyseg import geometry, pointprocess, solver
 from lilyseg.errors import NonConvergence
-from lilyseg.geometry import PARALLEL_TOL, shared_pair_table
+from lilyseg.geometry import PARALLEL_TOL, PairTable, shared_pair_table
 from lilyseg.pointprocess import TIE_TOL, _condition_d_from_table, _local_condition_d_from_table, _near_ties
 
 from conftest import planted_pair
@@ -118,23 +118,37 @@ def tie_prone_lists(draw):
 _fresh = itertools.count()
 
 
-def screened(points, width):
+def screened(points, width, near_first=False):
     """A fresh set, its table at list width ``width``, local report, then full report.
 
     Each set gets its own provenance, so it equals no set of an earlier
-    example and its table is built here, at this width.
+    example and its table is built here, at this width.  With
+    ``near_first`` the near list is built before the local screen runs, as
+    ``verify_gmhs`` on a user set does before ``solve_fixed_point``: the
+    screen then computes no row block (sets it screens in full excepted),
+    and its report equals the one a fresh table gives.
     """
     with mock.patch.object(geometry, "_NEAR", width):
         mps = MarkedPointSet(tuple(points), Provenance(next(_fresh), 1.0, Rectangle.square(1.0)))
         table = shared_pair_table(mps)
-        local = _local_condition_d_from_table(table, TIE_TOL)
+        if near_first:
+            fresh = _local_condition_d_from_table(PairTable(mps.points), TIE_TOL)
+            table.near
+            if len(mps) > pointprocess._FULL_SCREEN_WIDTHS * width:
+                with mock.patch.object(PairTable, "_block", side_effect=AssertionError("row block computed")):
+                    local = _local_condition_d_from_table(table, TIE_TOL)
+            else:
+                local = _local_condition_d_from_table(table, TIE_TOL)
+            assert local == fresh
+        else:
+            local = _local_condition_d_from_table(table, TIE_TOL)
     return mps, table, local, _condition_d_from_table(table, TIE_TOL)
 
 
-@given(tie_prone_lists(), st.sampled_from([0, 1, 2, 32]))
+@given(tie_prone_lists(), st.sampled_from([0, 1, 2, 32]), st.booleans())
 @settings(max_examples=250, deadline=None)
-def test_local_screen_is_a_sound_part_of_the_full_one(points, width):
-    mps, table, local, full = screened(points, width)
+def test_local_screen_is_a_sound_part_of_the_full_one(points, width, near_first):
+    mps, table, local, full = screened(points, width, near_first)
     assert set(local.near_ties) <= set(full.near_ties)
     assert local.collinear_pairs == full.collinear_pairs
     whole, blocked = {}, {}

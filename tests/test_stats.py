@@ -407,6 +407,8 @@ class TestAbortBudget:
             pinned_origin_radii(3, 1.0, 10, 5)
         with pytest.raises(ValueError, match="model must be 1 or 2"):
             percolation_trend(0, 1.0, [4.0, 5.0, 6.0], replications=5)
+        with pytest.raises(ValueError, match="n_neighbors must be positive"):
+            pinned_origin_radii(1, 1.0, 0, 5)
 
 
 class TestMassTransport:
