@@ -24,6 +24,8 @@ from .errors import (
     AbortRateExceeded,
     ConditionDViolation,
     InternalConsistencyError,
+    InvalidInput,
+    InvalidWindow,
     LilysegError,
 )
 from .pointprocess import (
@@ -65,7 +67,10 @@ def _parse_window(spec: str) -> Rectangle:
         w, h = float(w_str), float(h_str)
     except ValueError:
         raise argparse.ArgumentTypeError(f"window must look like 30x30, got {spec!r}")
-    return Rectangle(-w / 2.0, -h / 2.0, w / 2.0, h / 2.0)
+    try:
+        return Rectangle(-w / 2.0, -h / 2.0, w / 2.0, h / 2.0)
+    except InvalidWindow as exc:
+        raise argparse.ArgumentTypeError(f"window {spec!r}: {exc}")
 
 
 def _write_manifest(command: str, argv: Sequence[str], outputs: List[str], inputs: List[str], seeds: List[int]) -> None:
@@ -174,17 +179,25 @@ def _cmd_render(args, argv) -> int:
 _KNOWN_ESTIMATORS = {"nu", "varpi", "mu", "p_finite", "tail", "gaussian_tail", "trend"}
 
 
+def _parse_sizes(spec: Optional[str]) -> List[float]:
+    if not spec:
+        raise LilysegError("--sizes is required for the trend estimator")
+    try:
+        return [float(s) for s in spec.split(",")]
+    except ValueError:
+        raise InvalidInput(f"--sizes must be a comma list of numbers, got {spec!r}") from None
+
+
 def _cmd_mc(args, argv) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Every argument is checked before the first replication runs, and the
+    # output directory is made with the first file written into it: a
+    # rejected run leaves nothing behind.
     estimators = tuple(e.strip() for e in args.estimators.split(",") if e.strip())
     unknown = sorted(set(estimators) - _KNOWN_ESTIMATORS)
     if unknown:
         raise LilysegError(f"unknown estimator(s): {', '.join(unknown)}")
-    outputs: List[str] = []
-    run_trend = "trend" in estimators
     core = tuple(e for e in estimators if e != "trend")
-
+    config = None
     if core:
         config = McConfig(
             model=args.model,
@@ -195,6 +208,16 @@ def _cmd_mc(args, argv) -> int:
             base_seed=args.seed,
             estimators=core,
         )
+    sides = _parse_sizes(args.sizes) if "trend" in estimators else None
+    out_dir = Path(args.out_dir)
+    outputs: List[str] = []
+
+    def write(name: str, text: str) -> None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(text)
+        outputs.append(str(out_dir / name))
+
+    if config is not None:
         estimates = run_monte_carlo(config, workers=args.workers)
         table = estimates_to_csv(estimates)
         consistency = estimate_mu_consistency(estimates, args.model)
@@ -203,22 +226,13 @@ def _cmd_mc(args, argv) -> int:
                 f"mu_formula,{consistency.mu_formula!r},nan,"
                 f"{estimates.n_certified},{estimates.config_hash}\n"
             )
-        est_path = out_dir / "estimates.csv"
-        est_path.write_text(table)
-        outputs.append(str(est_path))
+        write("estimates.csv", table)
         if estimates.tail is not None:
-            tail_path = out_dir / "survival.csv"
-            tail_path.write_text(estimates.tail.to_csv())
-            outputs.append(str(tail_path))
+            write("survival.csv", estimates.tail.to_csv())
 
-    if run_trend:
-        if not args.sizes:
-            raise LilysegError("--sizes is required for the trend estimator")
-        sides = [float(s) for s in args.sizes.split(",")]
+    if sides is not None:
         trend = percolation_trend(args.model, args.intensity, sides, args.reps, args.seed, workers=args.workers)
-        trend_path = out_dir / "trend.csv"
-        trend_path.write_text(trend.to_csv())
-        outputs.append(str(trend_path))
+        write("trend.csv", trend.to_csv())
 
     _write_manifest("mc", argv, outputs, [], [args.seed])
     return 0

@@ -9,12 +9,12 @@ realizes segments from solved radii, and holds the scalar contact
 predicates along with the :class:`PairTable` pair kernels that the solvers,
 the verifier and the structure analysis call: ``operator`` and
 ``admissible`` (the stopping rule), ``stop_matches`` (explained stops) and
-``cover`` (the all-pairs contact test).  The table stores no n x n array:
-one sweep over row blocks, computed from the coordinates, builds each
-germ's near list of closest stops, and the kernels fall back to rows
-recomputed on demand where the list cannot certify its answer.  A dense
-table is built only when asked for; ``candidate_mask`` and ``stop_values``
-give the whole-matrix rule to the chain and greedy solvers.
+``cover`` (the all-pairs contact test).  Every row of the table is computed
+from the coordinates: one sweep over row blocks builds each germ's near
+list of closest stops, and the kernels fall back to rows recomputed on
+demand where the list cannot certify its answer.  The one n x n array is
+the distance matrix ``PairTable.d``, built on first use for the oracle
+solvers in :mod:`lilyseg.solver` and the tests.
 
 Conventions
 -----------
@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -48,12 +46,13 @@ PARALLEL_TOL = 1e-12
 #: Default relative tolerance for contact predicates.
 CONTACT_TOL = 1e-9
 
-# Peak bytes per ordered germ pair of the oracle solvers, which alone build
-# the dense table (tracemalloc, 30x30 and 45x45 windows, seed 1): the chain
-# solver 35, the greedy sweep 46-47 in Model 1 and 55 in Model 2 (its pair
-# index and event-time arrays).  Sizes the guard on the dense build; the
-# production path holds O(n) arrays and needs no guard.
-_PAIR_BYTES = 56
+# Peak bytes per ordered germ pair of the oracles, which alone build the
+# dense d (tracemalloc, a fresh set sampled on 30x30 and 45x45 windows,
+# seed 1, table build and full screen included): the chain solver 33, the
+# greedy sweep 45 in Model 1 and 53-54 in Model 2 (its pair index and
+# event-time arrays), find_descending_chain 16.  Sizes the guard on the
+# build of d; the production path holds O(n) arrays and needs no guard.
+_PAIR_BYTES = 54
 
 # Ordered pairs per row block when rows of the table are computed (the sweep
 # and the kernels' whole-row fallback).  Each pass allocates one workspace,
@@ -278,14 +277,6 @@ class _Slab(NamedTuple):
     collinear: np.ndarray
 
 
-class _Dense(NamedTuple):
-    """The whole n x n table, built only for the oracle solvers and the tests."""
-
-    d: np.ndarray
-    transversal: np.ndarray
-    collinear: np.ndarray
-
-
 class PairTable:
     """All-pairs growth distances for a finite list of marked points.
 
@@ -297,14 +288,14 @@ class PairTable:
     ``d_ab`` agree bitwise.
 
     The table stores O(n) state: the coordinates and the :attr:`near` list.
-    Rows ``d[i, :]`` and columns ``d[:, i]`` are recomputed from the
-    coordinates in row blocks whenever they are needed (or gathered from
-    the dense table below, once it is built).  One sweep over all
-    rows builds the near list, with every collinear pair, and feeds the
-    full genericity screen when one runs (see :mod:`lilyseg.pointprocess`);
-    the sampling path's screen reads the list alone.  Pairs are parallel
-    by the fixed ``PARALLEL_TOL``, as in :func:`pair_geometry`.  Build the
-    table once per point set (see :func:`shared_pair_table`) and reuse it.
+    Rows ``d[i, :]`` and columns ``d[:, i]``, with the pair kinds, are
+    computed from the coordinates in row blocks whenever they are needed;
+    no row is ever read from a stored matrix.  One sweep over all rows
+    builds the near list, with every collinear pair, and feeds the full
+    genericity screen when one runs (see :mod:`lilyseg.pointprocess`); the
+    sampling path's screen reads the list alone.  Pairs are parallel by the
+    fixed ``PARALLEL_TOL``, as in :func:`pair_geometry`.  A point set keeps
+    its table (see :func:`shared_pair_table`).
 
     The pair kernels (``operator``, ``admissible``, ``stop_matches`` and
     ``cover``) read the near list: for each row ``i`` the ``_NEAR`` pairs
@@ -315,10 +306,9 @@ class PairTable:
     expression of its own test, and recomputes the other rows whole.
     Results equal the whole-matrix evaluation bit for bit.
 
-    ``d``, ``transversal``, ``collinear``, ``m``, ``candidate_mask`` and
-    ``stop_values`` give the whole n x n table.  It is built on first use
-    and kept; only the chain and greedy solvers, the descending-chain
-    search and the tests use it.
+    :attr:`d` is the whole n x n distance matrix.  It is built on first use
+    and kept; only the oracles in :mod:`lilyseg.solver` (the chain and
+    greedy solvers and ``find_descending_chain``) and the tests read it.
     """
 
     def __init__(self, points: Sequence[MarkedPoint]):
@@ -382,20 +372,12 @@ class PairTable:
         """``rows`` against every column, in blocks of about ``_BLOCK_PAIRS`` pairs.
 
         Every block is computed into one workspace, which the next block
-        overwrites: a consumer copies what it keeps.  Once the dense table
-        is built, blocks are gathered from it instead of recomputed.
+        overwrites: a consumer copies what it keeps.
         """
         if len(rows) == 0:
             return
         step = max(1, _BLOCK_PAIRS // self.n)
         shape = (min(step, len(rows)), self.n)
-        dense = vars(self).get("_dense")
-        if dense is not None:
-            cols = np.broadcast_to(np.arange(self.n), shape)
-            for lo in range(0, len(rows), step):
-                r = rows[lo:lo + step]
-                yield _Slab(r, cols[:len(r)], dense.d[r], dense.d[:, r].T, dense.transversal[r], dense.collinear[r])
-            return
         ws = (np.empty((6, *shape)), np.empty((3, *shape), dtype=bool))
         for lo in range(0, len(rows), step):
             yield self._block(rows[lo:lo + step], ws)
@@ -447,7 +429,12 @@ class PairTable:
         return self._near
 
     @cached_property
-    def _dense(self) -> _Dense:
+    def d(self) -> np.ndarray:
+        """Growth distances ``d[i, j]``, the whole n x n matrix, built on first use and kept.
+
+        Raises :class:`InputTooLarge`, before allocating, when the matrix and
+        the oracle solvers' work on it would not fit in physical memory.
+        """
         n = self.n
         need = n * n * _PAIR_BYTES
         try:
@@ -459,48 +446,10 @@ class PairTable:
                 f"{n} points need {need / 2**30:.1f} GiB for the dense pair table and the "
                 f"oracle solvers, more than the {memory / 2**30:.1f} GiB of physical memory"
             )
-        dense = _Dense(np.empty((n, n)), np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool))
+        d = np.empty((n, n))
         for slab in self._row_blocks(np.arange(n)):
-            rows = slice(slab.rows[0], slab.rows[-1] + 1)
-            dense.d[rows], dense.transversal[rows], dense.collinear[rows] = slab.d, slab.transversal, slab.collinear
-        return dense
-
-    @property
-    def d(self) -> np.ndarray:
-        """Growth distances ``d[i, j]`` (dense oracle table)."""
-        return self._dense.d
-
-    @property
-    def transversal(self) -> np.ndarray:
-        """Pairs with transversal carriers (dense oracle table)."""
-        return self._dense.transversal
-
-    @property
-    def collinear(self) -> np.ndarray:
-        """Collinear parallel pairs (dense oracle table)."""
-        return self._dense.collinear
-
-    @property
-    def m(self) -> np.ndarray:
-        """Later-arrival times ``max(d[i, j], d[j, i])`` (symmetric)."""
-        return np.maximum(self.d, self.d.T)
-
-    def candidate_mask(self, model: int) -> np.ndarray:
-        """Boolean mask of admissible stopping candidates ``(i, j)``.
-
-        Model 1 admits pairs whose own arrival is the later one
-        (``d[i, j] > d[j, i]``, finite); Model 2 admits every pair with a
-        finite later-arrival time, which is ``isfinite(d)``: finiteness of
-        ``d`` is symmetric and its diagonal is ``inf``.  Built afresh on
-        every call; only the chain and greedy solvers need it.
-        """
-        _check_model(model)
-        finite = np.isfinite(self.d)
-        return finite & (self.d > self.d.T) if model == 1 else finite
-
-    def stop_values(self, model: int) -> np.ndarray:
-        """Radius at which ``i`` stops on ``j``: ``d`` in Model 1, ``m`` in Model 2."""
-        return self.d if model == 1 else self.m
+            d[slab.rows[0]:slab.rows[-1] + 1] = slab.d
+        return d
 
     def _near_slab(self, rows: Optional[np.ndarray] = None) -> _Slab:
         """The near list as a slab, restricted to ``rows`` when given."""
@@ -618,21 +567,17 @@ def _check_model(model: int) -> None:
         raise InvalidInput(f"model must be 1 or 2, got {model}")
 
 
-_table_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_table_lock = threading.Lock()
-
-
 def shared_pair_table(point_set) -> PairTable:
-    """Return the cached :class:`PairTable` for a point set, building it once.
+    """Return the :class:`PairTable` of a point set, building it on first use.
 
-    Keyed weakly on the point-set object so batch runs over many
-    realizations do not accumulate tables; the lock keeps concurrent batch
-    analysis over shared sets race-free.
+    The table is kept on the set object itself, so it lives exactly as long
+    as the set, and an equal but distinct set builds its own.  Pickles of a
+    set carry no table (see ``MarkedPointSet.__getstate__``).  Two threads
+    asking at once for a new set's table may each build one; both hold the
+    same values.
     """
-    with _table_lock:
-        table = _table_cache.get(point_set)
+    table = vars(point_set).get("_pair_table")
     if table is None:
         table = PairTable(point_set.points)
-        with _table_lock:
-            _table_cache[point_set] = table
+        object.__setattr__(point_set, "_pair_table", table)
     return table

@@ -247,15 +247,8 @@ class MarkedPointSet:
                 raise IdenticalGerms(f"duplicate germ at {key}")
             seen.add(key)
 
-    def __hash__(self) -> int:
-        # Every pair-table lookup hashes the set; hash its n points once.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.points, self.provenance))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
     def __getstate__(self) -> dict:
+        # Pickles carry the fields only, not the pair table the set keeps.
         return {"points": self.points, "provenance": self.provenance}
 
     def __len__(self) -> int:

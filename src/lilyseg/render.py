@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import IO, Optional, Tuple, Union
 
+from .errors import InvalidInput
 from .pointprocess import Rectangle, Window
 from .solver import Solution
 from .structure import StructureReport, analyze
@@ -55,7 +56,7 @@ def _drawing_rect(solution: Solution, clip_to_window: bool) -> Rectangle:
     window = solution.point_set.window
     if clip_to_window:
         if not isinstance(window, Rectangle):
-            raise ValueError("clipping to the window requires a rectangular window")
+            raise InvalidInput("clipping to the window requires a rectangular window")
         return window
     xs = [p.x for p in solution.point_set]
     ys = [p.y for p in solution.point_set]

@@ -19,10 +19,13 @@ marked point set:
   over candidate contact events; used as an independent oracle.
 
 The fixed-point solve, ``verify_gmhs`` and the structure analysis hold
-O(n) state.  The chain and greedy solvers and ``find_descending_chain``
-are oracles: they read the dense n x n table, which they build on first
-use and which raises :class:`~lilyseg.errors.InputTooLarge` when it would
-not fit in memory.
+O(n) state and share the pair kernels of
+:class:`~lilyseg.geometry.PairTable`.  The chain and greedy solvers and
+``find_descending_chain`` are oracles: they read only the dense distance
+matrix ``PairTable.d``, which is built on first use and raises
+:class:`~lilyseg.errors.InputTooLarge` when it would not fit in memory,
+and they apply the stopping rule through their own whole-matrix helpers
+below, not through the kernels they check.
 
 Model semantics, fixed throughout the package:
 
@@ -212,6 +215,33 @@ def _require_verified(solution: Solution, table: PairTable) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The stopping rule on the dense matrix (oracles only)
+
+
+def _later_arrival(d: np.ndarray) -> np.ndarray:
+    """Later-arrival times ``m[i, j] = max(d[i, j], d[j, i])`` (symmetric)."""
+    return np.maximum(d, d.T)
+
+
+def _candidate_mask(d: np.ndarray, model: int) -> np.ndarray:
+    """Boolean mask of admissible stopping candidates ``(i, j)``.
+
+    Model 1 admits pairs whose own arrival is the later one
+    (``d[i, j] > d[j, i]``, finite); Model 2 admits every pair with a
+    finite later-arrival time, which is ``isfinite(d)``: finiteness of
+    ``d`` is symmetric and its diagonal is ``inf``.
+    """
+    _check_model(model)
+    finite = np.isfinite(d)
+    return finite & (d > d.T) if model == 1 else finite
+
+
+def _stop_values(d: np.ndarray, model: int) -> np.ndarray:
+    """Radius at which ``i`` stops on ``j``: ``d`` in Model 1, ``m`` in Model 2."""
+    return d if model == 1 else _later_arrival(d)
+
+
+# ---------------------------------------------------------------------------
 # Chain chasing
 
 
@@ -232,7 +262,7 @@ class _ChainState:
         self.stop: List[Optional[int]] = [None] * n
         self.deleted: List[set] = [set() for _ in range(n)]
         self.steps = 0
-        masked = np.where(table.candidate_mask(model), table.stop_values(model), np.inf)
+        masked = np.where(_candidate_mask(self.d, model), _stop_values(self.d, model), np.inf)
         self._order = np.argsort(masked, axis=1, kind="stable")
         self._sorted_values = np.take_along_axis(masked, self._order, axis=1)
         self._cursor = [0] * n
@@ -339,11 +369,10 @@ def _trace_from(state: _ChainState, start: int, step_budget: int) -> ChainTrace:
 
 
 def _oracle_table(point_set: MarkedPointSet) -> PairTable:
-    """The screened table with its dense arrays built.
+    """The table with its dense ``d`` built, after the full screen.
 
-    The dense arrays come first: an oversized set raises
-    :class:`InputTooLarge` before the O(n^2) screen runs, and the screen
-    then reads its rows from them.
+    ``d`` comes first, so an oversized set raises :class:`InputTooLarge`
+    before the O(n^2) screen runs.
     """
     shared_pair_table(point_set).d
     return require_condition_d(point_set)
@@ -404,11 +433,11 @@ def solve_greedy_oracle(point_set: MarkedPointSet, model: int) -> Solution:
     radii = np.full(n, np.inf)
     resolved = np.zeros(n, dtype=bool)
     events = 0
+    d = table.d
     if model == 1:
-        ii, jj = np.nonzero(table.candidate_mask(1))
-        times = table.d[ii, jj]
+        ii, jj = np.nonzero(_candidate_mask(d, 1))
+        times = d[ii, jj]
         order = np.argsort(times, kind="stable")
-        d = table.d
         for k in order.tolist():
             events += 1
             i = int(ii[k])
@@ -421,8 +450,7 @@ def solve_greedy_oracle(point_set: MarkedPointSet, model: int) -> Solution:
                 radii[i] = times[k]
                 resolved[i] = True
     elif model == 2:
-        m = table.m
-        d = table.d
+        m = _later_arrival(d)
         iu, ju = np.triu_indices(n, k=1)
         finite = np.isfinite(m[iu, ju])
         iu, ju = iu[finite], ju[finite]
@@ -531,13 +559,17 @@ def find_descending_chain(
     geometrically rarer.  The search is capped at ``max_steps`` node visits
     (the full tree is exponential); the cap makes the result "longest
     found", which is all the diagnostic needs.
+
+    An oracle-only diagnostic: it reads the dense ``PairTable.d`` and raises
+    :class:`~lilyseg.errors.InputTooLarge` when that matrix would not fit
+    in memory.
     """
     table = shared_pair_table(point_set)
     n = table.n
     if n < 2:
         return []
     d = table.d
-    m = table.m
+    m = _later_arrival(d)
     best: List[int] = []
     steps = 0
 

@@ -1,10 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
 from lilyseg import MarkedPoint, MarkedPointSet, Rectangle, fold_direction, sample_poisson
 
 SQRT2 = math.sqrt(2.0)
+
+
+def table_rows(table):
+    """The whole table ``(d, transversal, collinear)``, stacked from its row blocks."""
+    n = table.n
+    d = np.empty((n, n))
+    transversal, collinear = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool)
+    for slab in table._row_blocks(np.arange(n)):
+        d[slab.rows], transversal[slab.rows], collinear[slab.rows] = slab.d, slab.transversal, slab.collinear
+    return d, transversal, collinear
 
 
 @pytest.fixture(scope="session")

@@ -67,9 +67,12 @@ class TestGenerate:
         assert run(["generate", "--lambda", 1, "--seed", 1]) == 2
 
     def test_bad_window_spec(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["generate", "--lambda", 1, "--window", "banana", "--seed", 1])
-        assert exc.value.code == 2
+        # Unparseable, and parseable but an invalid window: argparse usage errors.
+        for spec in ("banana", "0x10", "10xnan"):
+            with pytest.raises(SystemExit) as exc:
+                run(["generate", "--lambda", 1, "--window", spec, "--seed", 1])
+            assert exc.value.code == 2
+            assert "--window" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -154,6 +157,15 @@ class TestAnalyzeRender:
         assert run(["render", "--in", sol, "--out", out]) == 0
         svg = out.read_text()
         assert svg.count("<circle") == 3
+
+    def test_render_clip_on_disk_window_exits_2(self, tmp_path, capsys):
+        real, sol = tmp_path / "r.json", tmp_path / "s.json"
+        assert run(["generate", "--lambda", 1, "--disk", 5, "--seed", 1, "--out", real]) == 0
+        assert run(["solve", "--model", 1, "--in", real, "--out", sol]) == 0
+        capsys.readouterr()
+        assert run(["render", "--in", sol, "--out", tmp_path / "f.svg", "--clip"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "f.svg").exists()
 
     def test_render_highlight_doublets(self, f3_file, tmp_path):
         sol = tmp_path / "s.json"
@@ -244,16 +256,22 @@ class TestMc:
         ["generate", "--lambda", 1, "--disk", 5, "--seed", 1, "--n-closest", 0],
         ["mc", "--model", 1, "--reps", 0],
         ["mc", "--model", 1, "--window", "10x10", "--margin", 8],
+        ["mc", "--model", 1, "--estimators", "sparkle"],
+        ["mc", "--model", 1, "--estimators", "trend", "--sizes", "10,abc"],
+        ["mc", "--model", 1, "--estimators", "nu,trend", "--sizes", "10,abc", "--reps", 2],
     ],
-    ids=["n_closest_0", "reps_0", "margin_fills_window"],
+    ids=["n_closest_0", "reps_0", "margin_fills_window", "unknown_estimator", "sizes_not_numbers",
+         "sizes_checked_before_nu"],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, caplog, args):
-    # Rejected before the first replication, not counted as aborts.
+    # Rejected before the first replication, not counted as aborts, and
+    # before the output directory is made.
     if args[0] == "mc":
         args = args + ["--out-dir", tmp_path / "o"]
     assert run(args) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert "aborted" not in caplog.text
+    assert not (tmp_path / "o").exists()
 
 
 class TestRoundTrip:

@@ -31,6 +31,8 @@ from lilyseg import geometry
 from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable, shared_pair_table
 from lilyseg.pointprocess import check_condition_d
 
+from conftest import table_rows
+
 HALF_PI = math.pi / 2
 
 
@@ -300,14 +302,15 @@ def _planted_points(n, seed, offset):
 def test_table_matches_dense_reference_bytewise(points):
     table = PairTable(points)
     expected = _dense_table(points)
-    for got, want in zip((table.d, table.transversal, table.collinear), expected):
+    d, transversal, collinear = table_rows(table)
+    for got, want in zip((table.d, d, transversal, collinear), (expected[0], *expected)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     if len(points) > 100:
         # The planted pairs reach both parallel outcomes: collinear, and
         # disjoint (inf off the diagonal).
-        assert table.collinear.any()
-        assert (~table.transversal & np.isinf(table.d)).sum() > len(points)
+        assert collinear.any()
+        assert (~transversal & np.isinf(d)).sum() > len(points)
 
 
 @pytest.mark.parametrize(
@@ -317,12 +320,12 @@ def test_row_blocks_match_dense_reference_bytewise(points):
     n = len(points)
     d, transversal, collinear = _dense_table(points)
     step = geometry._BLOCK_PAIRS // n
-    gathered = PairTable(points)
-    gathered.d  # from here on its blocks are gathered from the dense table
+    built = PairTable(points)
+    built.d  # blocks computed after the dense d exists are the same
     # Every row through the sweep's blocks, then an unsorted subset through
     # the fallback's: rows on both sides of block boundaries, both ends.
     subset = np.array([n - 1, 0, step - 1, step, step + 1, 2 * step, 5, n // 2])
-    for table in (PairTable(points), gathered):
+    for table in (PairTable(points), built):
         for rows in (np.arange(n), subset):
             seen = []
             for slab in table._row_blocks(rows):
@@ -334,7 +337,7 @@ def test_row_blocks_match_dense_reference_bytewise(points):
                 seen.extend(slab.rows.tolist())
             assert seen == rows.tolist()
     # The screen's sweep builds the same near list as a plain sweep, and the
-    # same report, whether its blocks are computed or gathered.
+    # same report, whether or not the dense d was built first.
     reports = []
     for dense_first in (False, True):
         mps = MarkedPointSet(points)
@@ -397,7 +400,7 @@ def test_production_path_holds_no_dense_table(side, limit_mib):
     assert n > 1900
     assert peak <= limit_mib * 2**20
     table = shared_pair_table(mps)
-    assert "_dense" not in vars(table)
+    assert "d" not in vars(table)
     sizes = [a.size for value in vars(table).values() for a in _arrays(value)]
     assert sizes and max(sizes) < n * n
 

@@ -217,19 +217,38 @@ def test_far_planted_tie_passes_the_local_screen(far_tie):
         assert verify_gmhs(mps, solution.radii, model).passes
 
 
-class TestPointSetHash:
-    def test_equal_set_hits_the_table_cache(self):
+class TestTableOnItsSet:
+    @staticmethod
+    def fresh_set():
+        """A 6x6 sample rebuilt as a new set, whose table is not built yet."""
         mps = sample_poisson(1.0, Rectangle.square(6.0), seed=3)
+        return MarkedPointSet(mps.points, mps.provenance)
+
+    def test_set_builds_its_table_once(self):
+        mps = self.fresh_set()
+        with mock.patch.object(geometry, "PairTable", wraps=PairTable) as build:
+            table = shared_pair_table(mps)
+            for model in (1, 2):
+                solution = solve_fixed_point(mps, model)
+                assert verify_gmhs(mps, solution.radii, model).passes
+                solve_chain(mps, model)
+                solve_greedy_oracle(mps, model)
+            assert shared_pair_table(mps) is table
+        assert build.call_count == 1
+
+    def test_equal_set_gets_its_own_table(self):
+        mps = self.fresh_set()
         table = shared_pair_table(mps)
         copy = type(mps)(mps.points, mps.provenance)
-        assert copy == mps and copy is not mps and hash(copy) == hash(mps)
-        assert shared_pair_table(copy) is table
+        assert copy == mps and copy is not mps
+        assert shared_pair_table(copy) is not table
+        assert shared_pair_table(mps) is table
 
-    def test_hash_is_cached_and_not_pickled(self):
-        mps = sample_poisson(1.0, Rectangle.square(6.0), seed=3)
+    def test_pickle_carries_no_table(self):
+        mps = self.fresh_set()
         before = pickle.dumps(mps)
-        value = hash(mps)
-        assert hash(mps) == value == hash((mps.points, mps.provenance))
+        shared_pair_table(mps).d
+        solve_fixed_point(mps, 1)
         assert pickle.dumps(mps) == before
         back = pickle.loads(before)
-        assert back == mps and hash(back) == value
+        assert back == mps and "_pair_table" not in vars(back)

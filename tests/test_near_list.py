@@ -33,6 +33,8 @@ from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable, shared_pair_t
 from lilyseg.solver import VerificationReport, _verify_with_table
 from lilyseg.structure import stopping_map
 
+from conftest import table_rows
+
 # ---------------------------------------------------------------------------
 # Whole-matrix references
 
@@ -67,12 +69,13 @@ def dense_cover(table, radii, strict, tol):
     ri = radii[:, None]
     less = np.less if strict else np.less_equal
     scale = 1.0 - tol if strict else 1.0 + tol
+    _, transversal, collinear = table_rows(table)
     with np.errstate(invalid="ignore"):
         cover_i = np.where(np.isinf(ri), np.isfinite(table.d), less(table.d, ri * scale))
-        hit = table.transversal & cover_i & cover_i.T
-        if table.collinear.any():
+        hit = transversal & cover_i & cover_i.T
+        if collinear.any():
             reach = ri + radii[None, :]
-            hit |= table.collinear & (np.isinf(reach) | less(table.d + table.d.T, reach * scale))
+            hit |= collinear & (np.isinf(reach) | less(table.d + table.d.T, reach * scale))
     hi, hj = np.nonzero(np.triu(hit, k=1))
     return list(zip(hi.tolist(), hj.tolist()))
 

@@ -28,6 +28,8 @@ from lilyseg.pointprocess import (
     write_realization,
 )
 
+from conftest import table_rows
+
 
 class TestWindows:
     def test_rectangle_area_and_bounds(self):
@@ -181,22 +183,22 @@ def _brute_condition_d(mps, tie_tol):
     the (min, max) copy of a collinear pair) and ordered by value, then by
     row-major index.
     """
-    table = PairTable(mps.points)
+    d, transversal, collinear = table_rows(PairTable(mps.points))
     n = len(mps)
     entries = sorted(
-        (float(table.d[i, j]), (i, j))
+        (float(d[i, j]), (i, j))
         for i in range(n)
         for j in range(n)
-        if (table.transversal[i, j] and math.isfinite(table.d[i, j]))
-        or (table.collinear[i, j] and i < j)
+        if (transversal[i, j] and math.isfinite(d[i, j]))
+        or (collinear[i, j] and i < j)
     )
     near = []
     for a, (va, ea) in enumerate(entries):
         for vb, eb in entries[a + 1:]:
             if set(ea) & set(eb) and vb - va < tie_tol * max(vb, 1.0):
                 near.append((ea, eb, vb - va))
-    collinear = tuple((i, j) for i in range(n) for j in range(i + 1, n) if table.collinear[i, j])
-    return ConditionDReport(not near and not collinear, tuple(near), collinear)
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n) if collinear[i, j])
+    return ConditionDReport(not near and not pairs, tuple(near), pairs)
 
 
 def _tie_prone_set(seed):

@@ -26,6 +26,7 @@ from lilyseg import (
 )
 from lilyseg.geometry import PARALLEL_TOL
 from lilyseg.solver import (
+    _candidate_mask,
     read_solution,
     solution_to_json,
     write_solution,
@@ -283,7 +284,7 @@ class TestLaws:
             for model in (1, 2):
                 radii = solve_fixed_point(mps, model).radii.to_array()
                 values = table.d if model == 1 else np.maximum(table.d, table.d.T)
-                admissible = np.where(table.candidate_mask(model), values, np.nan)
+                admissible = np.where(_candidate_mask(table.d, model), values, np.nan)
                 for i, r in enumerate(radii):
                     if math.isfinite(r):
                         assert np.nanmin(np.abs(admissible[i] - r)) == 0.0
