@@ -183,9 +183,12 @@ def _parse_sizes(spec: Optional[str]) -> List[float]:
     if not spec:
         raise LilysegError("--sizes is required for the trend estimator")
     try:
-        return [float(s) for s in spec.split(",")]
+        sides = [float(s) for s in spec.split(",")]
     except ValueError:
         raise InvalidInput(f"--sizes must be a comma list of numbers, got {spec!r}") from None
+    if not all(math.isfinite(side) and side > 0 for side in sides):
+        raise InvalidInput(f"--sizes must be positive and finite, got {spec!r}")
+    return sides
 
 
 def _cmd_mc(args, argv) -> int:

@@ -256,7 +256,7 @@ class NearList(NamedTuple):
     """Each germ's pairs of smallest later-arrival time ``m`` (see :class:`PairTable`),
     and every collinear pair of the set, recorded by the sweep that builds the list."""
 
-    j: np.ndarray  # (n, w) partners of row i by ascending m[i, j], w = min(_NEAR, n)
+    j: np.ndarray  # (n, w) partners of row i by ascending m[i, j], w = n if n <= 2 * _NEAR else _NEAR
     d: np.ndarray  # d[i, j] along the list
     dT: np.ndarray  # d[j, i] along the list
     transversal: np.ndarray  # the table's pair kinds along the list
@@ -304,7 +304,9 @@ class PairTable:
     ``i`` beyond ``bound[i]`` costs at least ``bound[i]``, so each kernel
     certifies the rows the list answers exactly, with the floating-point
     expression of its own test, and recomputes the other rows whole.
-    Results equal the whole-matrix evaluation bit for bit.
+    A set of at most ``2 * _NEAR`` germs lists whole rows (``bound`` is
+    ``inf``), so no kernel recomputes a row there.  Results equal the
+    whole-matrix evaluation bit for bit.
 
     :attr:`d` is the whole n x n distance matrix.  It is built on first use
     and kept; only the oracles in :mod:`lilyseg.solver` (the chain and
@@ -388,7 +390,9 @@ class PairTable:
         if self._near is not None:
             yield from self._row_blocks(np.arange(n))
             return
-        width = min(_NEAR, n)
+        # Up to two list widths, the whole row is the list: no kernel then
+        # recomputes a row, and the screen over its closure is the full one.
+        width = n if n <= 2 * _NEAR else _NEAR
         j = np.empty((n, width), dtype=np.intp)
         d, dT = np.empty((n, width)), np.empty((n, width))
         transversal, collinear = np.empty((n, width), dtype=bool), np.empty((n, width), dtype=bool)
@@ -534,9 +538,11 @@ class PairTable:
         """
         # A touching pair, transversal or collinear, has m <= R * (1 + tol)
         # for the larger radius R of the two, so it is in that member's near
-        # list whenever R * (1 + tol) < bound there.
+        # list whenever R * (1 + tol) < bound there; a pair of infinite m
+        # never touches, so a list with bound inf holds every contact.
+        bound = self.near.bound
         with np.errstate(invalid="ignore"):
-            sure = np.isfinite(radii) & (radii * (1.0 + tol) < self.near.bound)
+            sure = np.isinf(bound) | (np.isfinite(radii) & (radii * (1.0 + tol) < bound))
         less = np.less if strict else np.less_equal
         scale = 1.0 - tol if strict else 1.0 + tol
         keys = []

@@ -21,14 +21,14 @@ matters only where the growth protocol compares two of them:
   by time and then applies the reach rule.
 
 So the sampling path (``sample_poisson``, ``sample_pinned``) and
-``solve_fixed_point`` screen those comparisons only, for sets of more than
-128 germs (four near-list widths; smaller sets get the full screen, and a
-set that passed it needs no screening while it solves).  At sampling, each
+``solve_fixed_point`` screen those comparisons only.  At sampling, each
 germ's distances over its near-list closure (the pairs {g, j} with j in
 g's near list or g in j's, both orders) are sorted and gap-tested, and
 every collinear pair fails the set; the near-list build (see
 :class:`~lilyseg.geometry.PairTable`) records those pairs, so a set whose
-list exists is screened without computing a row.
+list exists is screened without computing a row.  A set of at most 64
+germs lists whole rows, so there the closure screen is the full one, with
+the same ties, labels and order, and no row is recomputed while it solves.
 During the solve, each row the operator recomputes whole is screened where
 it is computed: its reach and candidacy comparisons, and its finite answer
 against every distance of its germ.  Every tie either stage reports is one
@@ -63,7 +63,6 @@ from .errors import (
     InvalidWindow,
     NotEnoughPoints,
 )
-from . import geometry
 from .geometry import _BLOCK_PAIRS, MarkedPoint, NearList, PairTable, shared_pair_table
 
 log = logging.getLogger(__name__)
@@ -79,15 +78,6 @@ REALIZATION_SCHEMA = "1"
 #: comparisons.  The tolerance sits well below the typical spacing yet two
 #: decades above double-precision noise in the intersection solves.
 TIE_TOL = 1e-12
-
-# The sampling path screens sets of at most this many near-list widths in
-# full: each germ's closure is then a large part of its row, so the closure
-# saves little, and a set the full screen passed needs no screening while
-# it solves.  Measured at width 32 (one set screened, then solved under
-# both models; 2 shared cores, Python 3.11, numpy 2.4): n ~ 44, full 0.35 ms against closure 0.42 ms plus 0.19 ms
-# of row screening; n ~ 100, 1.1 against 1.1 plus 0.44 ms; n ~ 230, 5.1
-# against 3.3 plus 0.6 ms.
-_FULL_SCREEN_WIDTHS = 4
 
 
 @dataclass(frozen=True)
@@ -282,9 +272,10 @@ class ConditionDReport:
 
     ``check_condition_d`` reports every germ-sharing pair.  The sampling
     path's screen (see the module docstring) reports the pairs within each
-    germ's near-list closure, and a fixed-point solve raises with the pairs
-    its recomputed rows compare; both list a subset of the full report's
-    ties, with its labels and order, and every collinear pair.
+    germ's near-list closure, which on a set of at most 64 germs is every
+    pair, and a fixed-point solve raises with the pairs its recomputed rows
+    compare; both list a subset of the full report's ties, with its labels
+    and order, and every collinear pair.
     """
 
     passes: bool
@@ -298,7 +289,7 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
         return cached
     n = table.n
     found: dict = {}
-    values = gaps = scale = flags = None
+    values = None
     # One sweep over row blocks, which also builds the near list and
     # records the collinear pairs (see PairTable.near).  Germ g
     # takes part in the distances of row d[g, :] and column d[:, g]; a
@@ -311,17 +302,12 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
         b = len(slab.rows)
         if values is None:
             values = np.empty((b, 2 * n))
-            gaps, scale = np.empty((b, 2 * n - 1)), np.empty((b, 2 * n - 1))
-            flags = np.empty((b, 2 * n - 1), dtype=bool)
-        v, gap, tol, hit = values[:b], gaps[:b], scale[:b], flags[:b]
+        v = values[:b]
         v[:, :n], v[:, n:] = slab.d, slab.dT
         if slab.collinear.any():
             np.copyto(v[:, n:], np.inf, where=slab.collinear)
         v.sort(axis=1)
-        np.multiply(tie_tol, np.maximum(v[:, 1:], 1.0, out=tol), out=tol)
-        with np.errstate(invalid="ignore"):
-            np.less(np.subtract(v[:, 1:], v[:, :-1], out=gap), tol, out=hit)
-        for k in np.nonzero(hit.any(axis=1))[0].tolist():
+        for k in np.nonzero(_gaps(v, tie_tol).any(axis=1))[0].tolist():
             _exact_ties(int(slab.rows[k]), slab.d[k], slab.dT[k], slab.collinear[k], tie_tol, found)
     report = table._condition_reports[tie_tol] = _report(found, table.near.collinear_pairs.tolist())
     return report
@@ -333,29 +319,30 @@ def _report(found: dict, collinear_pairs: Sequence[Sequence[int]]) -> ConditionD
     return ConditionDReport(passes=not near and not pairs, near_ties=near, collinear_pairs=pairs)
 
 
-def _local_condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDReport:
-    """The screen of the sampling path: near ties within near-list closures only.
+def _local_condition_d_from_table(table: PairTable) -> ConditionDReport:
+    """The screen of the sampling path: near ties within near-list closures only, at ``TIE_TOL``.
 
     Germ g's closure is the pairs {g, j} with j in g's near list or g in
     j's; both distances of each pair take part, as in the full screen, and
     ``_exact_ties`` labels and orders the ties the same way, so every tie
-    found here is one the full screen reports.  The collinear pairs come
-    with the near list, so a table whose list is built computes no row
-    here.  Small sets get the full screen (see ``_FULL_SCREEN_WIDTHS``),
-    and a set that passed it returns that report.
+    found here is one the full screen reports, and on a set whose list
+    holds whole rows (at most 64 germs) the report is the full one.  The
+    collinear pairs come with the near list, so a table whose list is
+    built computes no row here.
     """
     reports = table._condition_reports
-    full = reports.get(tie_tol)
-    if full is not None and full.passes:
-        return full
-    if table.n <= _FULL_SCREEN_WIDTHS * geometry._NEAR:
-        return _condition_d_from_table(table, tie_tol)
-    key = ("near", tie_tol)
-    if key not in reports:
+    if "near" not in reports:
         found: dict = {}
-        _near_ties(table.near, tie_tol, found)
-        reports[key] = _report(found, table.near.collinear_pairs.tolist())
-    return reports[key]
+        _near_ties(table.near, TIE_TOL, found)
+        reports["near"] = _report(found, table.near.collinear_pairs.tolist())
+    return reports["near"]
+
+
+def _gaps(v: np.ndarray, tie_tol: float) -> np.ndarray:
+    """The near-tie rule, on values sorted along the last axis: entry k is
+    ``v[..., k + 1] - v[..., k] < tie_tol * max(v[..., k + 1], 1)``."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.diff(v) < tie_tol * np.maximum(v[..., 1:], 1.0)
 
 
 def _near_ties(near: NearList, tie_tol: float, found: dict) -> None:
@@ -391,9 +378,7 @@ def _near_ties(near: NearList, tie_tol: float, found: dict) -> None:
         v[eg[x] - lo, 2 * w + rank[x]] = erow[x]
         v[eg[x] - lo, 2 * w + e + rank[x]] = np.where(ecollinear[x], np.inf, ecol[x])
         v.sort(axis=1)
-        with np.errstate(invalid="ignore"):
-            hit = np.subtract(v[:, 1:], v[:, :-1]) < tie_tol * np.maximum(v[:, 1:], 1.0)
-        for g in (np.nonzero(hit.any(axis=1))[0] + lo).tolist():
+        for g in (np.nonzero(_gaps(v, tie_tol).any(axis=1))[0] + lo).tolist():
             row, col, collinear = np.full(n, np.inf), np.full(n, np.inf), np.zeros(n, dtype=bool)
             mine = slice(starts[g], ends[g])
             for cols, d, dT, flags in ((near.j[g], near.d[g], near.dT[g], near.collinear[g]),
@@ -419,8 +404,7 @@ def _exact_ties(g: int, row: np.ndarray, col: np.ndarray, collinear: np.ndarray,
     values = np.concatenate((row[r], col[c]))
     order = np.lexsort((ii * n + jj, values))
     values, ii, jj = values[order], ii[order], jj[order]
-    diffs = np.diff(values)
-    hits = np.nonzero(diffs < tie_tol * np.maximum(values[1:], 1.0))[0]
+    hits = np.nonzero(_gaps(values, tie_tol))[0]
     runs: List[Tuple[int, int]] = []
     for k in hits.tolist():
         if runs and k <= runs[-1][1]:
@@ -505,15 +489,13 @@ def require_condition_d(point_set: MarkedPointSet) -> PairTable:
     return table
 
 
-def _fixed_point_screen(point_set: MarkedPointSet, model: int) -> Tuple[PairTable, Optional[partial]]:
+def _fixed_point_screen(point_set: MarkedPointSet, model: int) -> Tuple[PairTable, partial]:
     """The table that passed the sampling path's screen, and the hook that
-    screens the operator's whole rows, ``None`` if the full screen passed."""
+    screens the operator's whole rows."""
     table = shared_pair_table(point_set)
-    report = _local_condition_d_from_table(table, TIE_TOL)
+    report = _local_condition_d_from_table(table)
     if not report.passes:
         raise ConditionDViolation(report)
-    if report is table._condition_reports.get(TIE_TOL):
-        return table, None
     return table, partial(_screen_rows, table, model)
 
 
@@ -599,9 +581,9 @@ def sample_poisson(
     i.i.d. uniform in the window, and directions are i.i.d. uniform on
     (0, pi) (or two-atom if requested), independent of locations.  The
     result always passes the sampling path's genericity screen, which
-    covers each germ's near-list closure and every collinear pair, or
-    everything on sets of at most 128 germs (see the module docstring;
-    ``check_condition_d`` may still reject a larger set), at ``TIE_TOL``; a
+    covers each germ's near-list closure and every collinear pair (see the
+    module docstring; ``check_condition_d`` may still reject a set of more
+    than 64 germs), at ``TIE_TOL``; a
     failing draw is logged and resampled under the next attempt counter,
     which preserves determinism of the (intensity, window, seed) triple.
     After 16 draws it raises :class:`ConditionDViolation`.
@@ -611,7 +593,7 @@ def sample_poisson(
         candidate = _draw(intensity, window, seed, attempt, marks)
         if candidate is None:
             continue
-        report = _local_condition_d_from_table(shared_pair_table(candidate), TIE_TOL)
+        report = _local_condition_d_from_table(shared_pair_table(candidate))
         if report.passes:
             return candidate
         log.warning(
@@ -662,14 +644,17 @@ def sample_pinned(
     ``n_neighbors`` expected points, making a short draw (fewer than
     ``n_neighbors`` points) vanishingly rare.  The raw disk draw uses the
     rng stream of :func:`sample_poisson`'s first attempt but is not
-    screened; only the pinned subset is, by the sampling path's screen
-    (in full for up to 128 germs) at ``TIE_TOL``.  Short draws and pinned
+    screened; only the pinned subset is, by the sampling path's screen at
+    ``TIE_TOL`` (the full screen on up to 64 germs).  Short draws and pinned
     subsets that fail it resample under the next attempt counter, for at
-    most 32 draws.
+    most 32 draws; :class:`NotEnoughPoints` is raised when every draw was
+    short, :class:`ConditionDViolation` otherwise.
     """
+    _check_intensity(intensity)
     if disk_radius is None:
         disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
     window = Disk(0.0, 0.0, disk_radius)
+    screened = False
     for attempt in range(32):
         # Only the pinned subset is solved, so only it is screened.
         raw = _draw(intensity, window, seed + 0x100000000 * attempt, 0)
@@ -679,9 +664,12 @@ def sample_pinned(
             log.warning("short pinned draw (%d < %d points); resampling", len(raw), n_neighbors)
             continue
         pinned = n_closest_to_origin(raw, n_neighbors)
-        if _local_condition_d_from_table(shared_pair_table(pinned), TIE_TOL).passes:
+        if _local_condition_d_from_table(shared_pair_table(pinned)).passes:
             return pinned
+        screened = True
         log.warning("pinned set failed genericity (seed=%d); resampling", seed)
+    if not screened:
+        raise NotEnoughPoints(f"no draw of 32 held {n_neighbors} points in a disk of radius {disk_radius}")
     raise ConditionDViolation(None, "no generic pinned sample")
 
 

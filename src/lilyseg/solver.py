@@ -190,9 +190,9 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
     safety net.  The result is verified before being returned.
 
     Genericity is screened where the solve compares distances: the set
-    must pass the sampling path's screen, and unless it passed the full
-    one, every row the operator recomputes whole is screened as it is
-    computed (see :mod:`lilyseg.pointprocess`).  A near tie there raises
+    must pass the sampling path's screen, and every row the operator
+    recomputes whole is screened as it is computed (see
+    :mod:`lilyseg.pointprocess`).  A near tie there raises
     :class:`~lilyseg.errors.ConditionDViolation`; any tie reported is one
     ``check_condition_d`` reports too.
     """

@@ -560,16 +560,18 @@ def percolation_trend(
 
     Raises :class:`InsufficientSizes` when fewer than three sizes are given,
     or when fewer than three rows are left for the fit or their mean point
-    counts all coincide, so no slope is defined.
+    counts all coincide, so no slope is defined, and :class:`InvalidWindow`,
+    before any replication runs, on a side that is not positive and finite.
     """
     _check_model(model)
     _check_intensity(intensity)
     if len(sides) < 3:
         raise InsufficientSizes(f"need at least 3 window sizes, got {len(sides)}")
+    windows = [Rectangle.square(side) for side in sides]  # a bad side raises before any replication
     rows: List[TrendRow] = []
-    for k, side in enumerate(sides):
+    for k, (side, window) in enumerate(zip(sides, windows)):
         first = base_seed + 10_000 * k
-        job = partial(_centre_cluster, model, intensity, Rectangle.square(side))
+        job = partial(_centre_cluster, model, intensity, window)
         done = [out for out in _replicate(job, range(first, first + replications), workers)[0] if out is not None]
         mean, stderr = _batch_mean_stderr([size for size, _ in done])
         points = float(np.mean([n for _, n in done])) if done else 0.0

@@ -8,7 +8,8 @@ full screen (``check_condition_d``) reports, a set the full screen passes
 must solve exactly as before, and a set only the full screen rejects must
 still solve to the oracles' radii.  The list width ``geometry._NEAR`` is
 forced to 0, 1, 2 and 32 so that whole rows carry most of the comparisons;
-sets of at most four widths get the full screen.
+a set of at most two widths lists whole rows, and its screen is the full
+one.
 """
 
 import itertools
@@ -28,8 +29,10 @@ from lilyseg import (
     Provenance,
     Rectangle,
     TwoAtomMarks,
+    analyze,
     check_condition_d,
     fold_direction,
+    sample_pinned,
     sample_poisson,
     solve_chain,
     solve_fixed_point,
@@ -125,24 +128,25 @@ def screened(points, width, near_first=False):
     example and its table is built here, at this width.  With
     ``near_first`` the near list is built before the local screen runs, as
     ``verify_gmhs`` on a user set does before ``solve_fixed_point``: the
-    screen then computes no row block (sets it screens in full excepted),
-    and its report equals the one a fresh table gives.
+    screen then computes no row block, and its report equals the one a
+    fresh table gives.  On a set of at most two widths, whose list holds
+    whole rows, the local report is the full one.
     """
     with mock.patch.object(geometry, "_NEAR", width):
         mps = MarkedPointSet(tuple(points), Provenance(next(_fresh), 1.0, Rectangle.square(1.0)))
         table = shared_pair_table(mps)
         if near_first:
-            fresh = _local_condition_d_from_table(PairTable(mps.points), TIE_TOL)
+            fresh = _local_condition_d_from_table(PairTable(mps.points))
             table.near
-            if len(mps) > pointprocess._FULL_SCREEN_WIDTHS * width:
-                with mock.patch.object(PairTable, "_block", side_effect=AssertionError("row block computed")):
-                    local = _local_condition_d_from_table(table, TIE_TOL)
-            else:
-                local = _local_condition_d_from_table(table, TIE_TOL)
+            with mock.patch.object(PairTable, "_block", side_effect=AssertionError("row block computed")):
+                local = _local_condition_d_from_table(table)
             assert local == fresh
         else:
-            local = _local_condition_d_from_table(table, TIE_TOL)
-    return mps, table, local, _condition_d_from_table(table, TIE_TOL)
+            local = _local_condition_d_from_table(table)
+    full = _condition_d_from_table(table, TIE_TOL)
+    if len(mps) <= 2 * width:
+        assert local == full
+    return mps, table, local, full
 
 
 @given(tie_prone_lists(), st.sampled_from([0, 1, 2, 32]), st.booleans())
@@ -215,6 +219,20 @@ def test_far_planted_tie_passes_the_local_screen(far_tie):
     for model in (1, 2):
         solution = solve_fixed_point(mps, model)
         assert verify_gmhs(mps, solution.radii, model).passes
+
+
+def test_small_sampled_set_computes_no_row_after_sampling():
+    # Sets of at most 64 germs list whole rows: once sampled and screened,
+    # no solve, verification or analysis recomputes a row.
+    sets = [sample_poisson(1.0, Rectangle.square(side), seed) for side in (5.0, 6.0, 7.0) for seed in range(4)]
+    sets += [sample_pinned(1.0, 41, seed) for seed in range(4)]
+    for mps in sets:
+        assert 0 < len(mps) <= 2 * geometry._NEAR
+        with mock.patch.object(PairTable, "_block", side_effect=AssertionError("row block computed")):
+            for model in (1, 2):
+                solution = solve_fixed_point(mps, model)
+                assert verify_gmhs(mps, solution.radii, model).passes
+                analyze(solution)
 
 
 class TestTableOnItsSet:

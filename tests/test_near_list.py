@@ -177,7 +177,8 @@ def fresh_table(points, width):
     k = {"default": geometry._NEAR, "all": len(points) + 3}.get(width)
     with mock.patch.object(geometry, "_NEAR", int(width) if k is None else k):
         table = PairTable(points)
-        assert table.near.j.shape == (len(points), min(len(points), geometry._NEAR))
+        n = len(points)
+        assert table.near.j.shape == (n, n if n <= 2 * geometry._NEAR else geometry._NEAR)
     return table
 
 

@@ -16,6 +16,7 @@ from lilyseg import (
     check_condition_d,
     ensure_condition_d,
     n_closest_to_origin,
+    sample_pinned,
     sample_poisson,
 )
 from lilyseg.geometry import PairTable
@@ -118,6 +119,17 @@ class TestSampling:
         mps = sample_poisson(1.0, Rectangle.square(12.0), seed=3, marks=marks)
         values = {p.theta for p in mps}
         assert values <= {0.3, 1.7}
+
+    @pytest.mark.parametrize("intensity", [0.0, -1.0, math.nan, math.inf])
+    def test_pinned_invalid_intensity(self, intensity):
+        # Checked before the default disk radius divides by it.
+        with pytest.raises(InvalidIntensity):
+            sample_pinned(intensity, 41, 1)
+
+    def test_pinned_short_draws_are_not_enough_points(self):
+        # A disk of radius 0.5 holds about 0.8 points: no draw reaches the screen.
+        with pytest.raises(NotEnoughPoints):
+            sample_pinned(1.0, 41, 1, disk_radius=0.5)
 
     def test_sampled_sets_are_generic(self):
         # Continuous sampling is generic with probability one; zero failures

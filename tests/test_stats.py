@@ -10,6 +10,7 @@ from lilyseg import (
     InsufficientSizes,
     InsufficientTail,
     InvalidIntensity,
+    InvalidWindow,
     McConfig,
     Rectangle,
     TrendTable,
@@ -409,6 +410,16 @@ class TestAbortBudget:
             percolation_trend(0, 1.0, [4.0, 5.0, 6.0], replications=5)
         with pytest.raises(ValueError, match="n_neighbors must be positive"):
             pinned_origin_radii(1, 1.0, 0, 5)
+
+    def test_bad_side_raises_before_any_replication(self, monkeypatch):
+        # The bad side comes last: every window is built before the first replication.
+        def sampler(*args):
+            raise AssertionError("sampler called")
+
+        monkeypatch.setattr(lilyseg.stats, "sample_poisson", sampler)
+        for bad in (-3.0, 0.0, math.inf, math.nan):
+            with pytest.raises(InvalidWindow):
+                percolation_trend(1, 1.0, [7.0, 10.0, bad], 2)
 
 
 class TestMassTransport:
