@@ -45,8 +45,7 @@ class ConditionDViolation(LilysegError):
     """The genericity condition on growth distances fails.
 
     Carries the offending :class:`~lilyseg.pointprocess.ConditionDReport`
-    as the ``report`` attribute, or ``None`` when there is no report (a
-    pinned sample that never passed the screen).
+    as the ``report`` attribute, or ``None`` when the raiser has no report.
     """
 
     def __init__(self, report, message="growth distances are not mutually distinct"):

@@ -293,9 +293,10 @@ class PairTable:
     no row is ever read from a stored matrix.  One sweep over all rows
     builds the near list, with every collinear pair, and feeds the full
     genericity screen when one runs (see :mod:`lilyseg.pointprocess`); the
-    sampling path's screen reads the list alone.  Pairs are parallel by the
-    fixed ``PARALLEL_TOL``, as in :func:`pair_geometry`.  A point set keeps
-    its table (see :func:`shared_pair_table`).
+    fixed-point solve's screen reads the list and the rows the operator
+    recomputes whole.  Pairs are parallel by the fixed ``PARALLEL_TOL``,
+    as in :func:`pair_geometry`.  A point set keeps its table (see
+    :func:`shared_pair_table`).
 
     The pair kernels (``operator``, ``admissible``, ``stop_matches`` and
     ``cover``) read the near list: for each row ``i`` the ``_NEAR`` pairs
@@ -391,7 +392,7 @@ class PairTable:
             yield from self._row_blocks(np.arange(n))
             return
         # Up to two list widths, the whole row is the list: no kernel then
-        # recomputes a row, and the screen over its closure is the full one.
+        # recomputes a row.
         width = n if n <= 2 * _NEAR else _NEAR
         j = np.empty((n, width), dtype=np.intp)
         d, dT = np.empty((n, width)), np.empty((n, width))
@@ -491,7 +492,9 @@ class PairTable:
         return self._operator(radii, model)
 
     def _operator(self, radii: np.ndarray, model: int, screen=None) -> np.ndarray:
-        """:meth:`operator`, calling ``screen(slab, radii, answers)`` on every block of whole rows."""
+        """:meth:`operator`, calling ``screen(slab, radii, out)`` on every block of
+        whole rows it computes and, once ``out`` is final, on the near list
+        over the rows the list answered."""
         near = self.near
         ok, values = self.admissible(radii, model)
         out = np.min(values, axis=1, where=ok, initial=np.inf)
@@ -506,7 +509,10 @@ class PairTable:
                 ok, values = self.admissible(radii, model, slab=slab)
                 out[slab.rows] = np.min(values, axis=1, where=ok, initial=np.inf)
                 if screen is not None:
-                    screen(slab, radii, out[slab.rows])
+                    screen(slab, radii, out)
+        if screen is not None:
+            listed = np.nonzero(~unsure)[0]
+            screen(self._near_slab(None if len(listed) == self.n else listed), radii, out)
         return out
 
     def stop_matches(self, radii: np.ndarray, model: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -20,28 +20,32 @@ matters only where the growth protocol compares two of them:
   germ j with d[j, i], the reach rule again; the greedy sweep orders events
   by time and then applies the reach rule.
 
-So the sampling path (``sample_poisson``, ``sample_pinned``) and
-``solve_fixed_point`` screen those comparisons only.  At sampling, each
-germ's distances over its near-list closure (the pairs {g, j} with j in
-g's near list or g in j's, both orders) are sorted and gap-tested, and
-every collinear pair fails the set; the near-list build (see
-:class:`~lilyseg.geometry.PairTable`) records those pairs, so a set whose
-list exists is screened without computing a row.  A set of at most 64
-germs lists whole rows, so there the closure screen is the full one, with
-the same ties, labels and order, and no row is recomputed while it solves.
-During the solve, each row the operator recomputes whole is screened where
-it is computed: its reach and candidacy comparisons, and its finite answer
-against every distance of its germ.  Every tie either stage reports is one
-the full screen reports, so a set the full screen passes solves exactly as
-under it.  ``check_condition_d``, ``require_condition_d``,
-``ensure_condition_d``, ``apply_t1``, ``apply_t2`` and the chain and greedy
-oracles keep the full screen: every germ's ~2n distances, sorted.
+A fixed-point solve's answer rests only on the comparisons that one
+operator application makes at the fixed point f* the solve ends on.  If
+each of them clears the tie tolerance, exact arithmetic decides each the
+same way, so f* is the exact fixed point too, which is unique on a generic
+set; comparisons made at earlier iterates play no part.  So sampling
+(``sample_poisson``, ``sample_pinned``) draws and does not screen, and
+``solve_fixed_point`` iterates unscreened and then screens once, at its
+answer, in the operator application its verification makes anyway.  For
+each row that application screens the reach and candidacy comparisons
+over the pairs it read (the near list, or the whole row where it
+recomputes one), the answer against every distance of its germ among
+them, and, for a row the list answered, the answer against the list's
+``bound``.  Any collinear pair fails the set; the near-list build (see
+:class:`~lilyseg.geometry.PairTable`) records them all.  Ties are labelled
+as the full screen labels them, so every tie the solve reports is one the
+full screen reports, and a set the full screen passes solves exactly as
+it would unscreened.  A near tie that no comparison at the answer involves
+does not stop the solve; the set solves to a verified system.
+``check_condition_d``, ``require_condition_d``, ``ensure_condition_d``,
+``apply_t1``, ``apply_t2`` and the chain and greedy oracles keep the full
+screen: every germ's ~2n distances, sorted.
 
-A draw the sampling screen rejects is resampled under an incremented
-attempt counter and logged.  First draws at unit intensity that fail, full
-screen against this one: 1 and 0 of 40 windows of 45x45 (n ~ 2000, seeds
-k * 2**20, k = 1..40), 9 and 0 of 12 windows of 100x100 (n ~ 10^4, seeds
-1-12); no solve of those draws raised.
+A draw in which two germs coincide is resampled under an incremented
+attempt counter and logged.  Solves at unit intensity that raise, under
+both models: 0 of 80 on 40 windows of 45x45 (n ~ 2000, seeds k * 2**20,
+k = 1..40) and 0 of 24 on 12 windows of 100x100 (n ~ 10^4, seeds 1-12).
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .errors import (
     InvalidWindow,
     NotEnoughPoints,
 )
-from .geometry import _BLOCK_PAIRS, MarkedPoint, NearList, PairTable, shared_pair_table
+from .geometry import MarkedPoint, PairTable, shared_pair_table
 
 log = logging.getLogger(__name__)
 
@@ -71,12 +75,13 @@ REALIZATION_SCHEMA = "1"
 
 #: Relative tolerance for near-tie detection among growth distances, fixed
 #: everywhere but in ``check_condition_d``, the diagnostic, which takes
-#: another.  Only distances sharing a germ are compared, and on the sampling and
-#: fixed-point path only those the solve compares (see the module
-#: docstring): about 2 n K values per realization, with K ~ 35 closure
-#: partners per germ at n ~ 2000, rather than the full screen's ~2 n^3
-#: comparisons.  The tolerance sits well below the typical spacing yet two
-#: decades above double-precision noise in the intersection solves.
+#: another.  Only distances sharing a germ are compared, and on the
+#: fixed-point path only those one operator application compares at the
+#: answer (see the module docstring): about n K values per realization,
+#: with K = 32 listed pairs per germ plus the few rows recomputed whole,
+#: rather than the full screen's 2n sorted distances per germ.  The
+#: tolerance sits well below the typical spacing yet two decades above
+#: double-precision noise in the intersection solves.
 TIE_TOL = 1e-12
 
 
@@ -198,9 +203,9 @@ class TwoAtomMarks:
 
     def __post_init__(self):
         if not (0.0 <= self.theta1 < math.pi and 0.0 <= self.theta2 < math.pi):
-            raise ValueError("atom directions must lie in [0, pi)")
+            raise InvalidInput("atom directions must lie in [0, pi)")
         if not (0.0 < self.p < 1.0):
-            raise ValueError("atom weight must lie in (0, 1)")
+            raise InvalidInput("atom weight must lie in (0, 1)")
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         pick = rng.uniform(0.0, 1.0, count) < self.p
@@ -270,12 +275,10 @@ class ConditionDReport:
     between distances of four distinct germs are not flagged: no step of
     the growth protocol ever compares them.
 
-    ``check_condition_d`` reports every germ-sharing pair.  The sampling
-    path's screen (see the module docstring) reports the pairs within each
-    germ's near-list closure, which on a set of at most 64 germs is every
-    pair, and a fixed-point solve raises with the pairs its recomputed rows
-    compare; both list a subset of the full report's ties, with its labels
-    and order, and every collinear pair.
+    ``check_condition_d`` reports every germ-sharing pair.  A fixed-point
+    solve (see the module docstring) raises with every collinear pair, or
+    with the ties among the comparisons its operator makes at the answer: a
+    subset of the full report's ties, with its labels and order.
     """
 
     passes: bool
@@ -319,72 +322,11 @@ def _report(found: dict, collinear_pairs: Sequence[Sequence[int]]) -> ConditionD
     return ConditionDReport(passes=not near and not pairs, near_ties=near, collinear_pairs=pairs)
 
 
-def _local_condition_d_from_table(table: PairTable) -> ConditionDReport:
-    """The screen of the sampling path: near ties within near-list closures only, at ``TIE_TOL``.
-
-    Germ g's closure is the pairs {g, j} with j in g's near list or g in
-    j's; both distances of each pair take part, as in the full screen, and
-    ``_exact_ties`` labels and orders the ties the same way, so every tie
-    found here is one the full screen reports, and on a set whose list
-    holds whole rows (at most 64 germs) the report is the full one.  The
-    collinear pairs come with the near list, so a table whose list is
-    built computes no row here.
-    """
-    reports = table._condition_reports
-    if "near" not in reports:
-        found: dict = {}
-        _near_ties(table.near, TIE_TOL, found)
-        reports["near"] = _report(found, table.near.collinear_pairs.tolist())
-    return reports["near"]
-
-
 def _gaps(v: np.ndarray, tie_tol: float) -> np.ndarray:
     """The near-tie rule, on values sorted along the last axis: entry k is
     ``v[..., k + 1] - v[..., k] < tie_tol * max(v[..., k + 1], 1)``."""
     with np.errstate(invalid="ignore"):  # inf - inf
         return np.diff(v) < tie_tol * np.maximum(v[..., 1:], 1.0)
-
-
-def _near_ties(near: NearList, tie_tol: float, found: dict) -> None:
-    """Add the near ties among each germ's distances over its near-list closure to ``found``."""
-    n, w = near.j.shape
-    if w == 0:
-        return
-    # m is symmetric, and j's list holds every m[j, :] below bound[j]: a
-    # finite pair {g, j} listed by g alone joins j's closure, its distances
-    # swapped (row value d[j, g], column value d[g, j]).  A pair at exactly
-    # bound[j] may be listed twice; the duplicate is the same distance.
-    m = np.maximum(near.d, near.dT)
-    gi, k = np.nonzero(np.isfinite(m) & (m >= near.bound[near.j]))
-    eg = near.j[gi, k]
-    order = np.argsort(eg, kind="stable")
-    eg, ep = eg[order], gi[order]
-    erow, ecol = near.dT[gi, k][order], near.d[gi, k][order]
-    ecollinear = near.collinear[gi, k][order]
-    counts = np.bincount(eg, minlength=n)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    rank = np.arange(len(eg)) - starts[eg]
-    e = int(counts.max())
-    # Each germ's closure values in one padded row, as the full screen's
-    # sort and gap test see its row and column; rows go in blocks.
-    step = max(1, _BLOCK_PAIRS // (2 * (w + e)))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        v = np.full((hi - lo, 2 * (w + e)), np.inf)
-        v[:, :w] = near.d[lo:hi]
-        np.copyto(v[:, w:2 * w], near.dT[lo:hi], where=~near.collinear[lo:hi])
-        x = slice(starts[lo], ends[hi - 1])
-        v[eg[x] - lo, 2 * w + rank[x]] = erow[x]
-        v[eg[x] - lo, 2 * w + e + rank[x]] = np.where(ecollinear[x], np.inf, ecol[x])
-        v.sort(axis=1)
-        for g in (np.nonzero(_gaps(v, tie_tol).any(axis=1))[0] + lo).tolist():
-            row, col, collinear = np.full(n, np.inf), np.full(n, np.inf), np.zeros(n, dtype=bool)
-            mine = slice(starts[g], ends[g])
-            for cols, d, dT, flags in ((near.j[g], near.d[g], near.dT[g], near.collinear[g]),
-                                       (ep[mine], erow[mine], ecol[mine], ecollinear[mine])):
-                row[cols], col[cols], collinear[cols] = d, dT, flags
-            _exact_ties(g, row, col, collinear, tie_tol, found)
 
 
 def _exact_ties(g: int, row: np.ndarray, col: np.ndarray, collinear: np.ndarray, tie_tol: float, found: dict) -> None:
@@ -429,16 +371,24 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray, out: np.ndarray) -> None:
     """Raise :class:`ConditionDViolation` on a near tie among the comparisons
-    the operator made in the whole rows of ``slab``, whose answers are ``out``.
+    the operator made over ``slab``, the near list or a block of whole rows,
+    given its answers ``out``, one per germ.
 
-    Row i compares, for each j, the reach ``radii[j]`` against d[j, i]
-    (skipping j's own stop on i, an element against itself) and, in Model 1,
-    d[i, j] against d[j, i]; its finite answer is checked against every
-    distance of germ i, its row and column, which covers the uniqueness of
-    the row minimum and every later reach comparison against it.  Ties are
-    labelled by ``_exact_ties`` on the compared distances alone, so each is
-    one the full screen reports.
+    Row i compares, for each j in the slab, the reach ``radii[j]`` against
+    d[j, i] (skipping j's own stop on i, an element against itself) and, in
+    Model 1, d[i, j] against d[j, i]; its finite answer is checked against
+    every distance of germ i the slab holds, which covers the uniqueness of
+    the row minimum and every later reach comparison against it.  The near
+    list certifies an answer up to ``bound[i]``, the ``m`` of a pair it
+    leaves out, so a row whose answer is within a tie of it is screened
+    again whole.  Ties are labelled by ``_exact_ties`` on the compared
+    distances alone, so each is one the full screen reports.
     """
+    n = table.n
+    if slab.cols.shape[1] < n:
+        edge = _close(out[slab.rows], table.near.bound[slab.rows])
+        for whole in table._row_blocks(slab.rows[edge]):
+            _screen_rows(table, model, whole, radii, out)
     d, dT, collinear = slab.d, slab.dT, slab.collinear
     finite = np.isfinite(d)
     reach = radii[slab.cols]
@@ -447,7 +397,7 @@ def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray, out: np.
         live = candidate & (reach > 0) & np.isfinite(reach) & ~((reach == dT) & (dT >= d))
     reach_hit = live & _close(reach, dT)
     pair_hit = finite & ~collinear & _close(d, dT) if model == 1 else np.zeros_like(finite)
-    answer = out[:, None]
+    answer = out[slab.rows, None]
     row_hit = finite & _close(d, answer)
     col_hit = finite & ~collinear & _close(dT, answer)
     crowded = row_hit.sum(axis=1) + col_hit.sum(axis=1) > 1  # the answer itself is one
@@ -456,10 +406,13 @@ def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray, out: np.
     found: dict = {}
     inf = np.inf
     for a in np.nonzero(pair_hit.any(axis=1) | crowded)[0].tolist():
-        keep_row = pair_hit[a] | (row_hit[a] & crowded[a])
-        keep_col = pair_hit[a] | (col_hit[a] & crowded[a])
-        _exact_ties(int(slab.rows[a]), np.where(keep_row, d[a], inf), np.where(keep_col, dT[a], inf),
-                    collinear[a], TIE_TOL, found)
+        # The flagged row's compared distances, written into n-vectors by column.
+        row, col, flags = np.full(n, inf), np.full(n, inf), np.zeros(n, dtype=bool)
+        cols = slab.cols[a]
+        row[cols] = np.where(pair_hit[a] | (row_hit[a] & crowded[a]), d[a], inf)
+        col[cols] = np.where(pair_hit[a] | (col_hit[a] & crowded[a]), dT[a], inf)
+        flags[cols] = collinear[a]
+        _exact_ties(int(slab.rows[a]), row, col, flags, TIE_TOL, found)
     a, b = np.nonzero(reach_hit)
     germs = slab.cols[a, b]
     for other in table._row_blocks(np.unique(germs)):
@@ -490,12 +443,12 @@ def require_condition_d(point_set: MarkedPointSet) -> PairTable:
 
 
 def _fixed_point_screen(point_set: MarkedPointSet, model: int) -> Tuple[PairTable, partial]:
-    """The table that passed the sampling path's screen, and the hook that
-    screens the operator's whole rows."""
+    """The table of a set with no collinear pair, and the hook that screens
+    the comparisons of one operator application (see ``_screen_rows``)."""
     table = shared_pair_table(point_set)
-    report = _local_condition_d_from_table(table)
-    if not report.passes:
-        raise ConditionDViolation(report)
+    pairs = table.near.collinear_pairs
+    if len(pairs):
+        raise ConditionDViolation(_report({}, pairs.tolist()))
     return table, partial(_screen_rows, table, model)
 
 
@@ -580,29 +533,18 @@ def sample_poisson(
     The point count is Poisson(intensity * area), germ locations are
     i.i.d. uniform in the window, and directions are i.i.d. uniform on
     (0, pi) (or two-atom if requested), independent of locations.  The
-    result always passes the sampling path's genericity screen, which
-    covers each germ's near-list closure and every collinear pair (see the
-    module docstring; ``check_condition_d`` may still reject a set of more
-    than 64 germs), at ``TIE_TOL``; a
-    failing draw is logged and resampled under the next attempt counter,
-    which preserves determinism of the (intensity, window, seed) triple.
-    After 16 draws it raises :class:`ConditionDViolation`.
+    draw is not screened for genericity, which holds almost surely;
+    ``solve_fixed_point`` screens the comparisons its answer rests on (see
+    the module docstring).  A draw in which two germs coincide is logged
+    and resampled under the next attempt counter, which preserves
+    determinism of the (intensity, window, seed) triple.  After 16 such
+    draws it raises :class:`IdenticalGerms`.
     """
-    report = None
     for attempt in range(16):
         candidate = _draw(intensity, window, seed, attempt, marks)
-        if candidate is None:
-            continue
-        report = _local_condition_d_from_table(shared_pair_table(candidate))
-        if report.passes:
+        if candidate is not None:
             return candidate
-        log.warning(
-            "sampled set failed genericity (seed=%d attempt=%d, %d near ties); resampling",
-            seed,
-            attempt,
-            len(report.near_ties),
-        )
-    raise ConditionDViolation(report, "no generic sample after 16 attempts")
+    raise IdenticalGerms(f"every one of 16 draws held duplicate germs (seed={seed})")
 
 
 ORIGIN_PIN = MarkedPoint(0.0, 0.0, 0.0)
@@ -643,34 +585,28 @@ def sample_pinned(
     The disk radius defaults to three times the area needed for
     ``n_neighbors`` expected points, making a short draw (fewer than
     ``n_neighbors`` points) vanishingly rare.  The raw disk draw uses the
-    rng stream of :func:`sample_poisson`'s first attempt but is not
-    screened; only the pinned subset is, by the sampling path's screen at
-    ``TIE_TOL`` (the full screen on up to 64 germs).  Short draws and pinned
-    subsets that fail it resample under the next attempt counter, for at
-    most 32 draws; :class:`NotEnoughPoints` is raised when every draw was
-    short, :class:`ConditionDViolation` otherwise.
+    rng stream of :func:`sample_poisson`'s first attempt, and like it is
+    not screened for genericity.  Short draws and draws with duplicate germs
+    resample under the next attempt counter, for at most 32 draws;
+    :class:`NotEnoughPoints` is raised when every draw was short,
+    :class:`IdenticalGerms` otherwise.
     """
     _check_intensity(intensity)
     if disk_radius is None:
         disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
     window = Disk(0.0, 0.0, disk_radius)
-    screened = False
+    duplicates = False
     for attempt in range(32):
-        # Only the pinned subset is solved, so only it is screened.
         raw = _draw(intensity, window, seed + 0x100000000 * attempt, 0)
         if raw is None:
-            continue
-        if len(raw) < n_neighbors:
+            duplicates = True
+        elif len(raw) < n_neighbors:
             log.warning("short pinned draw (%d < %d points); resampling", len(raw), n_neighbors)
-            continue
-        pinned = n_closest_to_origin(raw, n_neighbors)
-        if _local_condition_d_from_table(shared_pair_table(pinned)).passes:
-            return pinned
-        screened = True
-        log.warning("pinned set failed genericity (seed=%d); resampling", seed)
-    if not screened:
-        raise NotEnoughPoints(f"no draw of 32 held {n_neighbors} points in a disk of radius {disk_radius}")
-    raise ConditionDViolation(None, "no generic pinned sample")
+        else:
+            return n_closest_to_origin(raw, n_neighbors)
+    if duplicates:
+        raise IdenticalGerms(f"every one of 32 draws was short or held duplicate germs (seed={seed})")
+    raise NotEnoughPoints(f"no draw of 32 held {n_neighbors} points in a disk of radius {disk_radius}")
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def render_svg(
     germs and window is used.
     """
     if highlight not in ("none", "cycles", "doublets"):
-        raise ValueError(f"unknown highlight mode {highlight!r}")
+        raise InvalidInput(f"unknown highlight mode {highlight!r}")
     rect = _drawing_rect(solution, clip_to_window)
     width = rect.xmax - rect.xmin
     height = rect.ymax - rect.ymin

@@ -153,7 +153,7 @@ def apply_t2(f: RadiiAssignment, point_set: MarkedPointSet) -> RadiiAssignment:
     return RadiiAssignment.from_array(table.operator(f.to_array(), 2))
 
 
-def _solve_fixed_point_array(table: PairTable, model: int, screen) -> Tuple[np.ndarray, int]:
+def _solve_fixed_point_array(table: PairTable, model: int) -> Tuple[np.ndarray, int]:
     n = table.n
     if n == 0:
         return np.zeros(0), 0
@@ -162,7 +162,7 @@ def _solve_fixed_point_array(table: PairTable, model: int, screen) -> Tuple[np.n
     prev_even = f
     prev_odd: Optional[np.ndarray] = None
     for step in range(1, max_steps + 1):
-        f_next = table._operator(f, model, screen)
+        f_next = table.operator(f, model)
         if np.array_equal(f_next, f):
             return f, step
         # Monotone sandwich: even iterates rise, odd iterates fall, and no
@@ -189,22 +189,22 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
     many steps; the iteration is capped at ``2n + 4`` applications as a
     safety net.  The result is verified before being returned.
 
-    Genericity is screened where the solve compares distances: the set
-    must pass the sampling path's screen, and every row the operator
-    recomputes whole is screened as it is computed (see
-    :mod:`lilyseg.pointprocess`).  A near tie there raises
-    :class:`~lilyseg.errors.ConditionDViolation`; any tie reported is one
-    ``check_condition_d`` reports too.
+    Genericity is screened once, at the answer: the operator application
+    of the verification screens the comparisons it makes, over the near
+    list and over every row it recomputes whole, and any collinear pair
+    fails the set (see :mod:`lilyseg.pointprocess`).  A near tie there
+    raises :class:`~lilyseg.errors.ConditionDViolation`; any tie reported
+    is one ``check_condition_d`` reports too.
     """
     table, screen = _fixed_point_screen(point_set, model)
-    radii, steps = _solve_fixed_point_array(table, model, screen)
+    radii, steps = _solve_fixed_point_array(table, model)
     solution = Solution(point_set, model, RadiiAssignment.from_array(radii), METHOD_FIXED_POINT, steps)
-    _require_verified(solution, table)
+    _require_verified(solution, table, screen)
     return solution
 
 
-def _require_verified(solution: Solution, table: PairTable) -> None:
-    report = _verify_with_table(table, solution.radii.to_array(), solution.model, tol=1e-9)
+def _require_verified(solution: Solution, table: PairTable, screen=None) -> None:
+    report = _verify_with_table(table, solution.radii.to_array(), solution.model, tol=1e-9, screen=screen)
     if not report.passes:
         raise VerificationFailed(
             f"{solution.method} produced an invalid system: "
@@ -391,16 +391,15 @@ def solve_chain(
     complete.  The result is verified before being returned; on a generic
     set, operator idempotence pins down the unique fixed point.
     """
+    _check_model(model)
+    n = len(point_set)
+    if start is not None and not (0 <= start < n):
+        raise InvalidInput(f"start index {start} out of range for {n} points")
     table = _oracle_table(point_set)
-    n = table.n
     state = _ChainState(table, model)
     step_budget = 64 * n * n + 1024
     traces: List[ChainTrace] = []
-    order: List[int] = []
-    if start is not None:
-        if not (0 <= start < n):
-            raise ValueError(f"start index {start} out of range")
-        order.append(start)
+    order: List[int] = [] if start is None else [start]
     order.extend(range(n))
     seen_start = set()
     for s in order:
@@ -428,6 +427,7 @@ def solve_greedy_oracle(point_set: MarkedPointSet, model: int) -> Solution:
     they stop each other simultaneously (a doublet).  Genericity makes all
     event times distinct, so the sweep order is unambiguous.
     """
+    _check_model(model)
     table = _oracle_table(point_set)
     n = table.n
     radii = np.full(n, np.inf)
@@ -449,7 +449,7 @@ def solve_greedy_oracle(point_set: MarkedPointSet, model: int) -> Solution:
             if not resolved[j] or radii[j] > d[j, i]:
                 radii[i] = times[k]
                 resolved[i] = True
-    elif model == 2:
+    else:
         m = _later_arrival(d)
         iu, ju = np.triu_indices(n, k=1)
         finite = np.isfinite(m[iu, ju])
@@ -473,8 +473,6 @@ def solve_greedy_oracle(point_set: MarkedPointSet, model: int) -> Solution:
             elif radii[b] >= d[b, a]:
                 radii[a] = times[k]
                 resolved[a] = True
-    else:
-        raise ValueError(f"model must be 1 or 2, got {model}")
     return Solution(point_set, model, RadiiAssignment.from_array(radii), METHOD_GREEDY, events)
 
 
@@ -507,13 +505,13 @@ class VerificationReport:
         )
 
 
-def _verify_with_table(table: PairTable, radii: np.ndarray, model: int, tol: float) -> VerificationReport:
+def _verify_with_table(table: PairTable, radii: np.ndarray, model: int, tol: float, screen=None) -> VerificationReport:
     hard = tuple(table.cover(radii, strict=True, tol=tol))
     explained = np.zeros(table.n, dtype=bool)
     explained[table.stop_matches(radii, model, tol)[0]] = True
     growth = tuple(int(i) for i in np.nonzero(np.isfinite(radii) & ~explained)[0])
 
-    mapped = table.operator(radii, model)
+    mapped = table._operator(radii, model, screen)
     with np.errstate(invalid="ignore"):
         near = np.abs(mapped - radii) <= tol * np.maximum(radii, 1.0)
     close = (np.isinf(mapped) & np.isinf(radii)) | (np.isfinite(mapped) & np.isfinite(radii) & near)
@@ -562,8 +560,13 @@ def find_descending_chain(
 
     An oracle-only diagnostic: it reads the dense ``PairTable.d`` and raises
     :class:`~lilyseg.errors.InputTooLarge` when that matrix would not fit
-    in memory.
+    in memory.  Raises :class:`~lilyseg.errors.InvalidInput` when
+    ``chain_type`` is not 1 or 2 or ``max_len`` is below 2.
     """
+    if chain_type not in (1, 2):
+        raise InvalidInput(f"chain_type must be 1 or 2, got {chain_type}")
+    if max_len < 2:
+        raise InvalidInput(f"max_len must be at least 2, got {max_len}")
     table = shared_pair_table(point_set)
     n = table.n
     if n < 2:

@@ -47,6 +47,11 @@ from .structure import StructureReport, analyze, interior_certified
 log = logging.getLogger(__name__)
 
 
+def _check_replications(replications: int) -> None:
+    if replications < 1:
+        raise InvalidInput(f"replications must be >= 1, got {replications}")
+
+
 def _config_hash(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -67,8 +72,7 @@ class McConfig:
     def __post_init__(self):
         _check_model(self.model)
         _check_intensity(self.intensity)
-        if self.replications < 1:
-            raise InvalidInput(f"replications must be >= 1, got {self.replications}")
+        _check_replications(self.replications)
         if self.margin < 0:
             raise InvalidInput(f"margin must be >= 0, got {self.margin}")
         if isinstance(self.window, Rectangle):
@@ -476,12 +480,14 @@ def pinned_origin_radii(
 
     Replication ``r`` uses seed ``base_seed + r``.  Replications that raise
     are dropped under the abort budget of ``run_monte_carlo``, so the array
-    holds completed replications only.
+    holds completed replications only.  Raises :class:`InvalidInput`, before
+    any replication runs, when ``n_neighbors`` or ``replications`` is below 1.
     """
     _check_model(model)
     _check_intensity(intensity)
     if n_neighbors < 1:  # checked here: inside a replication it would count as an abort
         raise InvalidInput(f"n_neighbors must be positive, got {n_neighbors}")
+    _check_replications(replications)
     if disk_radius is None:
         disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
     job = partial(_pinned_radius, model, intensity, n_neighbors, disk_radius, censor_escapes)
@@ -560,11 +566,13 @@ def percolation_trend(
 
     Raises :class:`InsufficientSizes` when fewer than three sizes are given,
     or when fewer than three rows are left for the fit or their mean point
-    counts all coincide, so no slope is defined, and :class:`InvalidWindow`,
-    before any replication runs, on a side that is not positive and finite.
+    counts all coincide, so no slope is defined.  Before any replication
+    runs, it raises :class:`InvalidWindow` on a side that is not positive
+    and finite, and :class:`InvalidInput` when ``replications`` is below 1.
     """
     _check_model(model)
     _check_intensity(intensity)
+    _check_replications(replications)
     if len(sides) < 3:
         raise InsufficientSizes(f"need at least 3 window sizes, got {len(sides)}")
     windows = [Rectangle.square(side) for side in sides]  # a bad side raises before any replication

@@ -1,15 +1,14 @@
-"""The sampling path's genericity screen against the full one.
+"""The fixed-point solve's genericity screen against the full one.
 
-``sample_poisson``, ``sample_pinned`` and ``solve_fixed_point`` screen only
-the comparisons the fixed-point solve makes: each germ's distances over its
-near-list closure when the set is sampled, and the whole rows the operator
-recomputes while it solves.  Every tie either stage reports must be one the
-full screen (``check_condition_d``) reports, a set the full screen passes
-must solve exactly as before, and a set only the full screen rejects must
-still solve to the oracles' radii.  The list width ``geometry._NEAR`` is
-forced to 0, 1, 2 and 32 so that whole rows carry most of the comparisons;
-a set of at most two widths lists whole rows, and its screen is the full
-one.
+Sampling does not screen.  ``solve_fixed_point`` iterates unscreened and
+then screens the comparisons one operator application makes at its answer:
+over each germ's near list, and over the whole rows the operator
+recomputes.  Every tie it reports must be one the full screen
+(``check_condition_d``) reports, a set the full screen passes must solve
+exactly as an unscreened loop does, and a set only the full screen rejects
+must either raise or solve to the oracles' radii.  The list width
+``geometry._NEAR`` is forced to 0, 1, 2 and 32 so that whole rows carry
+most of the comparisons; a set of at most two widths lists whole rows.
 """
 
 import itertools
@@ -30,7 +29,6 @@ from lilyseg import (
     Rectangle,
     TwoAtomMarks,
     analyze,
-    check_condition_d,
     fold_direction,
     sample_pinned,
     sample_poisson,
@@ -42,13 +40,13 @@ from lilyseg import (
 from lilyseg import geometry, pointprocess, solver
 from lilyseg.errors import NonConvergence
 from lilyseg.geometry import PARALLEL_TOL, PairTable, shared_pair_table
-from lilyseg.pointprocess import TIE_TOL, _condition_d_from_table, _local_condition_d_from_table, _near_ties
+from lilyseg.pointprocess import TIE_TOL, _condition_d_from_table
 
 from conftest import planted_pair
 
 
 def reference_fixed_point(table, model):
-    """The fixed-point loop as it was before the solve screened its rows."""
+    """The fixed-point loop with no screen."""
     n = table.n
     if n == 0:
         return np.zeros(0), 0
@@ -121,64 +119,45 @@ def tie_prone_lists(draw):
 _fresh = itertools.count()
 
 
-def screened(points, width, near_first=False):
-    """A fresh set, its table at list width ``width``, local report, then full report.
+def screened(points, width):
+    """A fresh set, its table with the near list built at width ``width``, and the full report.
 
     Each set gets its own provenance, so it equals no set of an earlier
-    example and its table is built here, at this width.  With
-    ``near_first`` the near list is built before the local screen runs, as
-    ``verify_gmhs`` on a user set does before ``solve_fixed_point``: the
-    screen then computes no row block, and its report equals the one a
-    fresh table gives.  On a set of at most two widths, whose list holds
-    whole rows, the local report is the full one.
+    example and its table is built here, at this width.
     """
     with mock.patch.object(geometry, "_NEAR", width):
         mps = MarkedPointSet(tuple(points), Provenance(next(_fresh), 1.0, Rectangle.square(1.0)))
         table = shared_pair_table(mps)
-        if near_first:
-            fresh = _local_condition_d_from_table(PairTable(mps.points))
-            table.near
-            with mock.patch.object(PairTable, "_block", side_effect=AssertionError("row block computed")):
-                local = _local_condition_d_from_table(table)
-            assert local == fresh
-        else:
-            local = _local_condition_d_from_table(table)
-    full = _condition_d_from_table(table, TIE_TOL)
-    if len(mps) <= 2 * width:
-        assert local == full
-    return mps, table, local, full
+        table.near
+    return mps, table, _condition_d_from_table(table, TIE_TOL)
 
 
-@given(tie_prone_lists(), st.sampled_from([0, 1, 2, 32]), st.booleans())
+@given(tie_prone_lists(), st.sampled_from([0, 1, 2, 32]))
 @settings(max_examples=250, deadline=None)
-def test_local_screen_is_a_sound_part_of_the_full_one(points, width, near_first):
-    mps, table, local, full = screened(points, width, near_first)
-    assert set(local.near_ties) <= set(full.near_ties)
-    assert local.collinear_pairs == full.collinear_pairs
-    whole, blocked = {}, {}
-    _near_ties(table.near, TIE_TOL, whole)
-    with mock.patch.object(pointprocess, "_BLOCK_PAIRS", 1):  # one germ per block
-        _near_ties(table.near, TIE_TOL, blocked)
-    assert blocked == whole and set(whole.values()) <= set(local.near_ties)
-    if full.passes:
-        assert local.passes
+def test_local_screen_is_a_sound_part_of_the_full_one(points, width):
+    mps, table, full = screened(points, width)
     for model in (1, 2):
         if full.passes:
             solution = solve_fixed_point(mps, model)
             radii, steps = reference_fixed_point(table, model)
             assert solution.radii.to_array().tobytes() == radii.tobytes()
             assert solution.iterations == steps
-        elif local.passes:
-            try:
-                solution = solve_fixed_point(mps, model)
-            except ConditionDViolation as exc:
-                assert exc.report.near_ties and set(exc.report.near_ties) <= set(full.near_ties)
-                continue
-            radii = solution.radii.to_array()
-            with mock.patch.object(solver, "_oracle_table", unscreened_oracle_table):
-                assert np.array_equal(solve_chain(mps, model)[0].radii.to_array(), radii)
-                assert np.array_equal(solve_greedy_oracle(mps, model).radii.to_array(), radii)
-            assert verify_gmhs(mps, solution.radii, model).passes
+            continue
+        try:
+            solution = solve_fixed_point(mps, model)
+        except ConditionDViolation as exc:
+            assert not exc.report.passes
+            assert set(exc.report.near_ties) <= set(full.near_ties)
+            assert set(exc.report.collinear_pairs) <= set(full.collinear_pairs)
+            continue
+        assert verify_gmhs(mps, solution.radii, model).passes
+        radii = solution.radii.to_array()
+        with mock.patch.object(solver, "_oracle_table", unscreened_oracle_table):
+            assert np.array_equal(solve_chain(mps, model)[0].radii.to_array(), radii)
+            greedy = solve_greedy_oracle(mps, model)
+        # Event times that tie exactly can misorder the sweep; its radii then fail verification.
+        if verify_gmhs(mps, greedy.radii, model).passes:
+            assert np.array_equal(greedy.radii.to_array(), radii)
 
 
 def planted_answer_tie():
@@ -196,8 +175,7 @@ def planted_answer_tie():
 
 @pytest.mark.parametrize("model", [1, 2])
 def test_tie_only_a_whole_row_compares_stops_the_solve(model):
-    mps, table, local, full = screened(planted_answer_tie().points, 0)
-    assert local.passes
+    mps, table, full = screened(planted_answer_tie().points, 0)
     assert [(a, b) for a, b, _ in full.near_ties] == [((0, 1), (0, 3))]
     with mock.patch.object(geometry, "_NEAR", 0), pytest.raises(ConditionDViolation) as exc:
         solve_fixed_point(mps, model)
@@ -205,29 +183,82 @@ def test_tie_only_a_whole_row_compares_stops_the_solve(model):
     assert set(exc.value.report.near_ties) <= set(full.near_ties)
 
 
-def test_tie_in_the_closure_fails_sampling_screen():
-    # At the default width four germs list each other: the closure is the whole set.
-    mps, _, local, full = screened(planted_answer_tie().points, geometry._NEAR)
-    assert local == full and not local.passes
+def test_tie_at_the_answer_stops_the_solve():
+    # At the default width four germs list each other: the list is the whole row.
+    mps, _, full = screened(planted_answer_tie().points, geometry._NEAR)
+    for model in (1, 2):
+        with pytest.raises(ConditionDViolation) as exc:
+            solve_fixed_point(mps, model)
+        assert exc.value.report.near_ties
+        assert set(exc.value.report.near_ties) <= set(full.near_ties)
+
+
+def test_answer_tied_with_the_list_bound_stops_the_solve():
+    # Mirror-symmetric verticals about a horizontal germ 0: at width 1 its
+    # list holds one of them, and its Model-2 answer, 4, ties with bound[0],
+    # the later arrival of the other.  No Model-1 comparison meets a tie.
+    points = (MarkedPoint(0, 0, 0.0), MarkedPoint(3, 4, math.pi / 2), MarkedPoint(-3, 4, math.pi / 2))
+    mps, table, full = screened(points, 1)
+    assert table.near.bound[0] == 4.0
+    solution = solve_fixed_point(mps, 1)
+    assert solution.radii.values == (math.inf, 4.0, 4.0)
+    assert verify_gmhs(mps, solution.radii, 1).passes
+    with pytest.raises(ConditionDViolation) as exc:
+        solve_fixed_point(mps, 2)
+    assert exc.value.report.near_ties
+    assert set(exc.value.report.near_ties) <= set(full.near_ties)
 
 
 def test_far_planted_tie_passes_the_local_screen(far_tie):
-    mps, _, local, full = screened(far_tie.points, geometry._NEAR)
+    mps, _, full = screened(far_tie.points, geometry._NEAR)
     n = len(mps) - 2
-    assert local.passes
     assert [(a, b) for a, b, _ in full.near_ties] == [((0, n), (0, n + 1))]
     for model in (1, 2):
         solution = solve_fixed_point(mps, model)
         assert verify_gmhs(mps, solution.radii, model).passes
 
 
+def test_sampling_builds_no_pair_table():
+    with mock.patch.object(PairTable, "_block", side_effect=AssertionError("row block computed")):
+        sets = [sample_poisson(1.0, Rectangle.square(side), seed) for side in (5.0, 12.0) for seed in range(3)]
+        sets += [sample_pinned(1.0, 41, seed) for seed in range(3)]
+        sets += [sample_pinned(1.0, 100, 1)]
+    assert max(map(len, sets)) > 2 * geometry._NEAR
+    for mps in sets:
+        assert "_pair_table" not in vars(mps)
+
+
+def test_solve_screens_one_operator_application():
+    # With no near list every row is recomputed whole, at every step; only
+    # the verification's application, at the answer, is screened.
+    mps = sample_poisson(1.0, Rectangle.square(9.0), seed=5)
+    seen = []
+
+    def record(table, model, slab, radii, out):
+        seen.append((slab.rows.copy(), slab.cols.shape[1], radii.copy()))
+        return screen_rows(table, model, slab, radii, out)
+
+    screen_rows = pointprocess._screen_rows
+    for model in (1, 2):
+        seen.clear()
+        with mock.patch.object(geometry, "_NEAR", 0), mock.patch.object(pointprocess, "_screen_rows", record):
+            fresh = MarkedPointSet(mps.points, mps.provenance)
+            solution = solve_fixed_point(fresh, model)
+        assert solution.iterations > 2
+        assert all(np.array_equal(radii, solution.radii.to_array()) for _, _, radii in seen)
+        # Each row once: whole, or over the (empty) list when no radius reaches it.
+        assert np.sort(np.concatenate([rows for rows, _, _ in seen])).tolist() == list(range(len(mps)))
+        assert [width for _, width, _ in seen].count(0) == 1
+
+
 def test_small_sampled_set_computes_no_row_after_sampling():
-    # Sets of at most 64 germs list whole rows: once sampled and screened,
-    # no solve, verification or analysis recomputes a row.
+    # Sets of at most 64 germs list whole rows: once the list is built, no
+    # solve, verification or analysis recomputes a row.
     sets = [sample_poisson(1.0, Rectangle.square(side), seed) for side in (5.0, 6.0, 7.0) for seed in range(4)]
     sets += [sample_pinned(1.0, 41, seed) for seed in range(4)]
     for mps in sets:
         assert 0 < len(mps) <= 2 * geometry._NEAR
+        shared_pair_table(mps).near
         with mock.patch.object(PairTable, "_block", side_effect=AssertionError("row block computed")):
             for model in (1, 2):
                 solution = solve_fixed_point(mps, model)

@@ -6,6 +6,8 @@ import pytest
 from lilyseg import (
     ConditionDViolation,
     Disk,
+    IdenticalGerms,
+    InvalidInput,
     InvalidIntensity,
     InvalidWindow,
     MarkedPoint,
@@ -19,6 +21,7 @@ from lilyseg import (
     sample_pinned,
     sample_poisson,
 )
+from lilyseg import pointprocess
 from lilyseg.geometry import PairTable
 from lilyseg.pointprocess import (
     ConditionDReport,
@@ -114,6 +117,18 @@ class TestSampling:
         for p in mps:
             assert math.hypot(p.x - 1.0, p.y + 2.0) <= 4.0
 
+    @pytest.mark.parametrize("theta1, theta2, p", [(4.0, 1.0, 0.5), (0.3, -0.1, 0.5), (0.3, 1.0, 1.0), (0.3, 1.0, 0.0)])
+    def test_two_atom_marks_out_of_range(self, theta1, theta2, p):
+        with pytest.raises(InvalidInput):
+            TwoAtomMarks(theta1, theta2, p)
+
+    def test_duplicate_germs_on_every_draw(self, monkeypatch):
+        monkeypatch.setattr(pointprocess, "_draw", lambda *args, **kwargs: None)
+        with pytest.raises(IdenticalGerms, match="16 draws"):
+            sample_poisson(1.0, Rectangle.square(5.0), seed=1)
+        with pytest.raises(IdenticalGerms, match="32 draws"):
+            sample_pinned(1.0, 41, 1)
+
     def test_two_atom_marks(self):
         marks = TwoAtomMarks(0.3, 1.7, p=0.25)
         mps = sample_poisson(1.0, Rectangle.square(12.0), seed=3, marks=marks)
@@ -127,7 +142,7 @@ class TestSampling:
             sample_pinned(intensity, 41, 1)
 
     def test_pinned_short_draws_are_not_enough_points(self):
-        # A disk of radius 0.5 holds about 0.8 points: no draw reaches the screen.
+        # A disk of radius 0.5 holds about 0.8 points: every draw is short.
         with pytest.raises(NotEnoughPoints):
             sample_pinned(1.0, 41, 1, disk_radius=0.5)
 

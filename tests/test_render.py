@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lilyseg import (
+    InvalidInput,
     MarkedPointSet,
     RadiiAssignment,
     Rectangle,
@@ -73,5 +74,5 @@ def test_clip_requires_rectangle(f3):
 
 def test_unknown_highlight_rejected(f2):
     solution = solve_fixed_point(f2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         render_svg(solution, highlight="sparkles")

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from lilyseg import (
     ConditionDViolation,
+    InvalidInput,
     MarkedPoint,
     MarkedPointSet,
     RadiiAssignment,
@@ -24,7 +26,7 @@ from lilyseg import (
     solve_greedy_oracle,
     verify_gmhs,
 )
-from lilyseg.geometry import PARALLEL_TOL
+from lilyseg.geometry import PARALLEL_TOL, PairTable
 from lilyseg.solver import (
     _candidate_mask,
     read_solution,
@@ -371,6 +373,29 @@ class TestDescendingChains:
             chain = find_descending_chain(mps, chain_type, max_len=6)
             assert 2 <= len(chain) <= 6
             assert len(set(chain)) == len(chain)
+
+    @pytest.mark.parametrize("chain_type, max_len", [(7, 16), (0, 16), (1, 0), (2, 1)])
+    def test_bad_arguments_raise_before_the_table(self, f3, chain_type, max_len):
+        with mock.patch.object(PairTable, "_block", side_effect=AssertionError("row block computed")):
+            with pytest.raises(InvalidInput):
+                find_descending_chain(f3, chain_type, max_len=max_len)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mps: solve_greedy_oracle(mps, 3),
+        lambda mps: solve_chain(mps, 0),
+        lambda mps: solve_chain(mps, 1, start=99),
+        lambda mps: solve_chain(mps, 1, start=-1),
+    ],
+    ids=["greedy_model", "chain_model", "chain_start_high", "chain_start_negative"],
+)
+def test_oracle_arguments_raise_before_the_table(call):
+    mps = MarkedPointSet(tuple(sample_poisson(1.0, Rectangle.square(5.0), seed=2).points))
+    with mock.patch.object(PairTable, "_block", side_effect=AssertionError("row block computed")):
+        with pytest.raises(InvalidInput):
+            call(mps)
 
 
 class TestSolutionFiles:

@@ -9,6 +9,7 @@ from lilyseg import (
     ConditionDViolation,
     InsufficientSizes,
     InsufficientTail,
+    InvalidInput,
     InvalidIntensity,
     InvalidWindow,
     McConfig,
@@ -410,6 +411,11 @@ class TestAbortBudget:
             percolation_trend(0, 1.0, [4.0, 5.0, 6.0], replications=5)
         with pytest.raises(ValueError, match="n_neighbors must be positive"):
             pinned_origin_radii(1, 1.0, 0, 5)
+        for replications in (0, -3):
+            with pytest.raises(InvalidInput, match="replications must be >= 1"):
+                pinned_origin_radii(1, 1.0, 41, replications)
+        with pytest.raises(InvalidInput, match="replications must be >= 1"):
+            percolation_trend(1, 1.0, [5, 6, 7], 0)
 
     def test_bad_side_raises_before_any_replication(self, monkeypatch):
         # The bad side comes last: every window is built before the first replication.
