@@ -9,12 +9,13 @@ realizes segments from solved radii, and holds the scalar contact
 predicates along with the :class:`PairTable` pair kernels that the solvers,
 the verifier and the structure analysis call: ``operator`` and
 ``admissible`` (the stopping rule), ``stop_matches`` (explained stops) and
-``cover`` (the all-pairs contact test).  Every row of the table is computed
-from the coordinates: one sweep over row blocks builds each germ's near
-list of closest stops, and the kernels fall back to rows recomputed on
-demand where the list cannot certify its answer.  The one n x n array is
-the distance matrix ``PairTable.d``, built on first use for the oracle
-solvers in :mod:`lilyseg.solver` and the tests.
+``cover`` (the all-pairs contact test).  Every pair of the table is computed
+from the coordinates: a cell grid builds each germ's near list of closest
+stops from the germs around it, in O(n) pairs on a spread-out set, and the
+kernels fall back to rows recomputed on demand where the list cannot
+certify its answer.  The one n x n array is the distance matrix
+``PairTable.d``, built on first use for the oracle solvers in
+:mod:`lilyseg.solver` and the tests.
 
 Conventions
 -----------
@@ -54,14 +55,19 @@ CONTACT_TOL = 1e-9
 # build of d; the production path holds O(n) arrays and needs no guard.
 _PAIR_BYTES = 54
 
-# Ordered pairs per row block when rows of the table are computed (the sweep
-# and the kernels' whole-row fallback).  Each pass allocates one workspace,
-# about 1.7 MiB at this size, and reuses it for every block: fresh
-# temporaries per block cost page faults.
+# Ordered pairs per block when pairs of the table are computed (the near
+# list's grid cells and the whole rows of the full screen and of the
+# kernels' fallback).  Each pass allocates one workspace, about 1.7 MiB at
+# this size, and reuses it for every block: fresh temporaries per block cost
+# page faults.
 _BLOCK_PAIRS = 1 << 15
 
 # Pairs each germ keeps in the near list (see PairTable).
 _NEAR = 32
+
+# Germs per cell, on average, of the grid that builds the near list (see
+# PairTable._grid_rows).
+_CELL_GERMS = 25
 
 
 def fold_direction(angle: float) -> float:
@@ -253,16 +259,15 @@ def segments_touch(s1: Segment, s2: Segment, tol: float = CONTACT_TOL) -> bool:
 
 
 class NearList(NamedTuple):
-    """Each germ's pairs of smallest later-arrival time ``m`` (see :class:`PairTable`),
-    and every collinear pair of the set, recorded by the sweep that builds the list."""
+    """Each germ's pairs of smallest later-arrival time ``m``, in (m, j) order, and
+    every collinear pair of the set (see :class:`PairTable`)."""
 
-    j: np.ndarray  # (n, w) partners of row i by ascending m[i, j], w = n if n <= 2 * _NEAR else _NEAR
+    j: np.ndarray  # (n, w) the first w partners of row i in (m[i, j], j) order, w = n if n <= 2 * _NEAR else _NEAR
     d: np.ndarray  # d[i, j] along the list
     dT: np.ndarray  # d[j, i] along the list
     transversal: np.ndarray  # the table's pair kinds along the list
     collinear: np.ndarray
     bound: np.ndarray  # smallest m[i, j] left out of row i, inf when none is
-    colmin: np.ndarray  # min over j of d[j, i]
     collinear_pairs: np.ndarray  # (k, 2) every collinear pair (i, j), i < j, in row-major order
 
 
@@ -277,6 +282,41 @@ class _Slab(NamedTuple):
     collinear: np.ndarray
 
 
+def _workspace(pairs: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Scratch space for :meth:`PairTable._block` on up to ``pairs`` pairs."""
+    return np.empty(6 * pairs), np.empty(3 * pairs, dtype=bool)
+
+
+def _first(m: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row of ``m``, the columns of its first ``width`` entries in (value,
+    column) order, and the next value (``inf`` when there is none)."""
+    b, k = m.shape
+    r = np.arange(b)[:, None]
+    if width >= k:
+        return np.argsort(m, axis=1, kind="stable"), np.full(b, np.inf)
+    part = np.argpartition(m, width, axis=1)
+    kth = m[r[:, 0], part[:, width]]
+    part = np.sort(part[:, :width], axis=1)  # column order, which the stable sort keeps on ties
+    first = part[r, np.argsort(m[r, part], axis=1, kind="stable")]
+    if width:
+        # Values tied with the next one may straddle the cut; order those rows whole.
+        tied = np.nonzero(m[r[:, 0], first[:, -1]] == kth)[0]
+        if len(tied):
+            first[tied] = np.argsort(m[tied], axis=1, kind="stable")[:, :width]
+    return first, kth
+
+
+def _keep(near: list, slab: _Slab, a: np.ndarray, first: np.ndarray, kth: np.ndarray) -> None:
+    """Write rows ``a`` of ``slab``, their pairs ``first`` and bounds ``kth``,
+    into ``near``, the list's arrays in :class:`NearList` order up to ``bound``."""
+    rows, sel = slab.rows[a], first[a]
+    r = a[:, None]
+    *pairs, bound = near
+    for out, values in zip(pairs, slab[1:]):
+        out[rows] = values[r, sel]
+    bound[rows] = kth[a]
+
+
 class PairTable:
     """All-pairs growth distances for a finite list of marked points.
 
@@ -289,25 +329,27 @@ class PairTable:
 
     The table stores O(n) state: the coordinates and the :attr:`near` list.
     Rows ``d[i, :]`` and columns ``d[:, i]``, with the pair kinds, are
-    computed from the coordinates in row blocks whenever they are needed;
-    no row is ever read from a stored matrix.  One sweep over all rows
-    builds the near list, with every collinear pair, and feeds the full
-    genericity screen when one runs (see :mod:`lilyseg.pointprocess`); the
-    fixed-point solve's screen reads the list and the rows the operator
-    recomputes whole.  Pairs are parallel by the fixed ``PARALLEL_TOL``,
-    as in :func:`pair_geometry`.  A point set keeps its table (see
-    :func:`shared_pair_table`).
+    computed from the coordinates in blocks whenever they are needed; no
+    row is ever read from a stored matrix.  The near list comes from a cell
+    grid: each germ's row is computed against the germs of the cells about
+    its own, and rows the grid cannot certify are computed whole (see
+    :meth:`_grid_rows`).  Collinear pairs are found from the sorted
+    directions.  The full genericity screen sweeps every row (see
+    :mod:`lilyseg.pointprocess`); the fixed-point solve's screen reads the
+    list and the rows the operator recomputes whole.  Pairs are parallel by
+    the fixed ``PARALLEL_TOL``, as in :func:`pair_geometry`.  A point set
+    keeps its table (see :func:`shared_pair_table`).
 
     The pair kernels (``operator``, ``admissible``, ``stop_matches`` and
-    ``cover``) read the near list: for each row ``i`` the ``_NEAR`` pairs
-    of smallest ``m[i, j] = max(d[i, j], d[j, i])`` and ``bound[i]``, the
-    smallest ``m`` left out.  Every admissible stop and every contact of
-    ``i`` beyond ``bound[i]`` costs at least ``bound[i]``, so each kernel
-    certifies the rows the list answers exactly, with the floating-point
-    expression of its own test, and recomputes the other rows whole.
-    A set of at most ``2 * _NEAR`` germs lists whole rows (``bound`` is
-    ``inf``), so no kernel recomputes a row there.  Results equal the
-    whole-matrix evaluation bit for bit.
+    ``cover``) read the near list: for each row ``i`` the first ``_NEAR``
+    pairs in (m, j) order, ``m[i, j] = max(d[i, j], d[j, i])``, and
+    ``bound[i]``, the smallest ``m`` left out.  Every admissible stop and
+    every contact of ``i`` beyond ``bound[i]`` costs at least ``bound[i]``,
+    so each kernel certifies the rows the list answers exactly, with the
+    floating-point expression of its own test, and recomputes the other
+    rows whole.  A set of at most ``2 * _NEAR`` germs lists whole rows
+    (``bound`` is ``inf``), so no kernel recomputes a row there.  Results
+    equal the whole-matrix evaluation bit for bit.
 
     :attr:`d` is the whole n x n distance matrix.  It is built on first use
     and kept; only the oracles in :mod:`lilyseg.solver` (the chain and
@@ -323,18 +365,25 @@ class PairTable:
         self.ux = np.cos(self.theta)
         self.uy = np.sin(self.theta)
         self.radius = np.hypot(self.x, self.y)
-        self._near: Optional[NearList] = None
         self._condition_reports: dict = {}
 
-    def _block(self, r: np.ndarray, ws: Tuple[np.ndarray, np.ndarray]) -> _Slab:
-        """Rows ``r`` against every column, computed into the workspace ``ws``."""
+    def _block(self, r: np.ndarray, ws: Tuple[np.ndarray, np.ndarray], c: Optional[np.ndarray] = None) -> _Slab:
+        """Rows ``r`` against the ascending columns ``c`` (every column by
+        default), computed into the workspace ``ws``; ``c`` holds ``r``."""
         b = len(r)
-        wx, wy, denom, t, d, dT = ws[0][:, :b]
-        parallel, transversal, collinear = ws[1][:, :b]
         x, y, ux, uy = self.x, self.y, self.ux, self.uy
-        uxr, uyr = ux[r, None], uy[r, None]
-        np.subtract(x, x[r, None], out=wx)
-        np.subtract(y, y[r, None], out=wy)
+        if c is None:
+            c, diag = np.arange(self.n), (np.arange(b), r)
+        else:
+            x, y, ux, uy = x[c], y[c], ux[c], uy[c]
+            diag = (np.arange(b), np.searchsorted(c, r))
+        shape = (b, len(c))
+        size = b * len(c)
+        wx, wy, denom, t, d, dT = ws[0][:6 * size].reshape(6, *shape)
+        parallel, transversal, collinear = ws[1][:3 * size].reshape(3, *shape)
+        uxr, uyr = self.ux[r, None], self.uy[r, None]
+        np.subtract(x, self.x[r, None], out=wx)
+        np.subtract(y, self.y[r, None], out=wy)
         np.multiply(uxr, uy, out=denom)
         np.subtract(denom, np.multiply(uyr, ux, out=t), out=denom)
         # d[i, j] = |(wx uy_j - wy ux_j) / denom|.  The swapped pair negates
@@ -348,7 +397,6 @@ class PairTable:
                 np.divide(out, denom, out=out)
                 np.abs(out, out=out)
         np.less(np.abs(denom, out=t), PARALLEL_TOL, out=parallel)
-        diag = (np.arange(b), r)
         parallel[diag] = False
         np.logical_not(parallel, out=transversal)
         transversal[diag] = False
@@ -357,19 +405,22 @@ class PairTable:
         if parallel.any():
             pi, pj = np.nonzero(parallel)
             d[pi, pj] = dT[pi, pj] = np.inf
-            # Collinear parallels: perpendicular offset below tolerance on
-            # both carriers, relative to the local length scale.  The test
-            # and the half germ distance are symmetric in the pair.
             pwx, pwy = wx[pi, pj], wy[pi, pj]
-            gi = r[pi]
-            scale = np.maximum(1.0, np.maximum(self.radius[gi], self.radius[pj]))
-            off_a = np.abs(pwx * uy[gi] - pwy * ux[gi])
-            off_b = np.abs(pwx * uy[pj] - pwy * ux[pj])
-            hit = np.maximum(off_a, off_b) < PARALLEL_TOL * scale
+            hit = self._collinear(r[pi], c[pj], pwx, pwy)
             pi, pj = pi[hit], pj[hit]
             d[pi, pj] = dT[pi, pj] = 0.5 * np.hypot(pwx[hit], pwy[hit])
             collinear[pi, pj] = True
-        return _Slab(r, np.broadcast_to(np.arange(self.n), (b, self.n)), d, dT, transversal, collinear)
+        return _Slab(r, np.broadcast_to(c, shape), d, dT, transversal, collinear)
+
+    def _collinear(self, i: np.ndarray, j: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+        """Which parallel pairs ``(i, j)``, with ``(wx, wy) = g_j - g_i``, are
+        collinear: the perpendicular offset is below tolerance on both
+        carriers, relative to the local length scale.  The test and the half
+        germ distance are symmetric in the pair."""
+        scale = np.maximum(1.0, np.maximum(self.radius[i], self.radius[j]))
+        off_a = np.abs(wx * self.uy[i] - wy * self.ux[i])
+        off_b = np.abs(wx * self.uy[j] - wy * self.ux[j])
+        return np.maximum(off_a, off_b) < PARALLEL_TOL * scale
 
     def _row_blocks(self, rows: np.ndarray):
         """``rows`` against every column, in blocks of about ``_BLOCK_PAIRS`` pairs.
@@ -380,58 +431,142 @@ class PairTable:
         if len(rows) == 0:
             return
         step = max(1, _BLOCK_PAIRS // self.n)
-        shape = (min(step, len(rows)), self.n)
-        ws = (np.empty((6, *shape)), np.empty((3, *shape), dtype=bool))
+        ws = _workspace(min(step, len(rows)) * self.n)
         for lo in range(0, len(rows), step):
             yield self._block(rows[lo:lo + step], ws)
 
-    def _sweep(self):
-        """Every row block in order, building the near list on the way if it is not built yet."""
+    @cached_property
+    def near(self) -> NearList:
+        """The near list, shared by both models; built on first use."""
         n = self.n
-        if self._near is not None:
-            yield from self._row_blocks(np.arange(n))
-            return
         # Up to two list widths, the whole row is the list: no kernel then
         # recomputes a row.
         width = n if n <= 2 * _NEAR else _NEAR
-        j = np.empty((n, width), dtype=np.intp)
-        d, dT = np.empty((n, width)), np.empty((n, width))
-        transversal, collinear = np.empty((n, width), dtype=bool), np.empty((n, width), dtype=bool)
-        bound = np.full(n, np.inf)
-        colmin = np.empty(n)
-        pairs = [np.empty((0, 2), dtype=np.intp)]
-        m = None
-        for slab in self._row_blocks(np.arange(n)):
-            lo, hi = slab.rows[0], slab.rows[-1] + 1
-            if m is None:
-                m = np.empty(slab.d.shape)
-            mb = np.maximum(slab.d, slab.dT, out=m[:hi - lo])
-            r = np.arange(hi - lo)[:, None]
-            if width < n:
-                part = np.argpartition(mb, width, axis=1)
-                bound[lo:hi] = mb[r[:, 0], part[:, width]]
-                part = part[:, :width]
-            else:
-                part = np.broadcast_to(np.arange(n), mb.shape)
-            jb = part[r, np.argsort(mb[r, part], axis=1, kind="stable")]
-            j[lo:hi] = jb
-            d[lo:hi], dT[lo:hi] = slab.d[r, jb], slab.dT[r, jb]
-            transversal[lo:hi], collinear[lo:hi] = slab.transversal[r, jb], slab.collinear[r, jb]
-            np.min(slab.dT, axis=1, out=colmin[lo:hi])
-            if slab.collinear.any():
-                ci, cj = np.nonzero(slab.collinear)
-                ci += lo
-                pairs.append(np.column_stack((ci, cj))[ci < cj])
-            yield slab
-        self._near = NearList(j, d, dT, transversal, collinear, bound, colmin, np.concatenate(pairs))
+        near = [np.empty((n, width), dtype=np.intp), np.empty((n, width)), np.empty((n, width)),
+                np.empty((n, width), dtype=bool), np.empty((n, width), dtype=bool), np.full(n, np.inf)]
+        whole = np.arange(n) if width == n else self._grid_rows(width, near)
+        for slab in self._row_blocks(whole):
+            _keep(near, slab, np.arange(len(slab.rows)), *_first(np.maximum(slab.d, slab.dT), width))
+        return NearList(*near, self._collinear_pairs())
 
-    @property
-    def near(self) -> NearList:
-        """The near list, shared by both models; built once, by one sweep over the rows."""
-        if self._near is None:
-            for _ in self._sweep():
-                pass
-        return self._near
+    def _grid_rows(self, width: int, near: list) -> np.ndarray:
+        """Fill the near list from a cell grid; return the rows it leaves to whole rows.
+
+        Cells are squares holding about ``_CELL_GERMS`` germs: 5 mean
+        spacings wide over an area, as many germs along a line.  Each germ's
+        row is computed against the germs of the 5 x 5 cells centred on its
+        own, so a germ j left out lies at least ``edge``, the distance to the
+        edge of that stencil, from germ i, and m[i, j] >= |g_i - g_j| / 2 (the
+        triangle through the carrier intersection).  The stencil's list and
+        bound are then the row's when the bound is below ``edge / 2``; the
+        slack covers the rounding of m, under 0.2 % even for carriers just
+        past ``PARALLEL_TOL``, and of the edges.
+        """
+        n, x, y = self.n, self.x, self.y
+        x0, y0 = x.min(), y.min()
+        w, h = x.max() - x0, y.max() - y0
+        side = max(math.sqrt(_CELL_GERMS * w * h / n), _CELL_GERMS * max(w, h) / n)
+        if not 0.0 < side < math.inf:  # all germs at one point, or a span past the float range
+            side, w, h = math.inf, 0.0, 0.0
+        nx, ny = int(w // side) + 1, int(h // side) + 1
+        with np.errstate(invalid="ignore"):
+            cx = np.clip(np.floor((x - x0) / side), 0, nx - 1).astype(np.intp)
+            cy = np.clip(np.floor((y - y0) / side), 0, ny - 1).astype(np.intp)
+            # Distance to the stencil's edge, inf on a side with no cell beyond it.
+            edge = np.minimum.reduce([
+                np.where(cx > 2, x - (x0 + (cx - 2) * side), np.inf),
+                np.where(cx < nx - 3, x0 + (cx + 3) * side - x, np.inf),
+                np.where(cy > 2, y - (y0 + (cy - 2) * side), np.inf),
+                np.where(cy < ny - 3, y0 + (cy + 3) * side - y, np.inf),
+            ])
+            reach = 0.5 * (1.0 - 1e-2) * (edge - 1e-12 * (abs(x0) + abs(y0) + w + h + side))
+        # Germs by cell; a cell's stencil is 5 runs of cells along y, one per column of cells.
+        key = cx * ny + cy
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        cells, starts = np.unique(key, return_index=True)
+        ends = np.append(starts[1:], n)
+        kx, ky = np.divmod(cells, ny)
+        col = kx[:, None] + np.arange(-2, 3)
+        lo = np.searchsorted(key, col * ny + np.maximum(ky - 2, 0)[:, None])
+        hi = np.searchsorted(key, col * ny + np.minimum(ky + 2, ny - 1)[:, None], side="right")
+        hi = np.where((col >= 0) & (col < nx), hi, lo)
+        ws = _workspace(max(_BLOCK_PAIRS, n))
+        whole = []
+        for cell in range(len(cells)):
+            rows = order[starts[cell]:ends[cell]]
+            c = np.sort(np.concatenate([order[a:b] for a, b in zip(lo[cell], hi[cell])]))
+            if len(c) <= width:
+                whole.append(rows)
+                continue
+            step = max(1, _BLOCK_PAIRS // len(c))
+            for k in range(0, len(rows), step):
+                slab = self._block(rows[k:k + step], ws, c)
+                first, kth = _first(np.maximum(slab.d, slab.dT), width)
+                sure = np.isinf(edge[slab.rows]) | (kth < reach[slab.rows])
+                _keep(near, slab, np.nonzero(sure)[0], first, kth)
+                whole.append(slab.rows[~sure])
+        return np.sort(np.concatenate(whole))
+
+    def _collinear_pairs(self) -> np.ndarray:
+        """Every collinear pair ``(i, j)``, ``i < j``, in row-major order.
+
+        The kernel's parallel test reads |sin| of the angle between the two
+        directions, up to rounding far below ``PARALLEL_TOL``, so only pairs
+        whose directions lie within ``2 * PARALLEL_TOL`` of each other, modulo
+        pi, can pass it.  They are read off the sorted directions, wrapping
+        at 0 and pi, and tested with the kernel's own expressions.
+        """
+        n = self.n
+        order = np.argsort(self.theta, kind="stable")
+        t = self.theta[order]
+        at = np.arange(n)
+        ends = np.searchsorted(np.concatenate((t, t + math.pi)), t + 2 * PARALLEL_TOL, side="right")
+        span = np.minimum(ends, at + n) - at - 1  # partners after each position
+        total = np.cumsum(span)
+        found = [np.empty((0, 2), dtype=np.intp)]
+        lo = 0
+        while lo < n:
+            # Positions whose partners fill about one block.
+            hi = max(lo + 1, int(np.searchsorted(total, total[lo] - span[lo] + max(_BLOCK_PAIRS, n), side="right")))
+            s = span[lo:hi]
+            a = np.repeat(at[lo:hi], s)
+            b = (a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(s) - s, s)) % n
+            i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+            parallel = np.abs(self.ux[i] * self.uy[j] - self.uy[i] * self.ux[j]) < PARALLEL_TOL
+            i, j = i[parallel], j[parallel]
+            hit = self._collinear(i, j, self.x[j] - self.x[i], self.y[j] - self.y[i])
+            found.append(np.column_stack((i[hit], j[hit])))
+            lo = hi
+        pairs = np.concatenate(found)
+        return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+
+    @cached_property
+    def _on_carrier(self) -> np.ndarray:
+        """Rows ``i`` with ``d[j, i] == 0`` for some ``j``: germ j lies exactly on i's carrier.
+
+        d[j, i] is zero exactly when its numerator is, ``fl(wx * uy_i) ==
+        fl(wy * ux_i)`` with ``(wx, wy) = g_j - g_i``, so a stream over all
+        pairs finds the candidates; their rows are computed whole to confirm,
+        because a parallel pair has a zero numerator but is not a zero.
+        """
+        n = self.n
+        step = max(1, _BLOCK_PAIRS // n)
+        p, q = np.empty((step, n)), np.empty((step, n))
+        equal = np.empty((step, n), dtype=bool)
+        candidate = np.empty(n, dtype=bool)
+        for lo in range(0, n, step):
+            r = slice(lo, min(lo + step, n))
+            b = r.stop - lo
+            np.multiply(np.subtract(self.x, self.x[r, None], out=p[:b]), self.uy[r, None], out=p[:b])
+            np.multiply(np.subtract(self.y, self.y[r, None], out=q[:b]), self.ux[r, None], out=q[:b])
+            np.equal(p[:b], q[:b], out=equal[:b])
+            equal[np.arange(b), np.arange(lo, lo + b)] = False
+            np.any(equal[:b], axis=1, out=candidate[r])
+        on = np.zeros(n, dtype=bool)
+        for slab in self._row_blocks(np.nonzero(candidate)[0]):
+            on[slab.rows] = (slab.dT == 0).any(axis=1)
+        return on
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -494,17 +629,27 @@ class PairTable:
     def _operator(self, radii: np.ndarray, model: int, screen=None) -> np.ndarray:
         """:meth:`operator`, calling ``screen(slab, radii, out)`` on every block of
         whole rows it computes and, once ``out`` is final, on the near list
-        over the rows the list answered."""
+        over the rows the list answered.
+
+        A list answer up to ``bound`` is exact; a row answered past it is
+        recomputed whole, unless no radius is positive.  Then nothing left out
+        of a list is admissible, except in Model 2 on a row some germ lies
+        exactly on the carrier of (:attr:`_on_carrier`, found on first need).
+        """
         near = self.near
         ok, values = self.admissible(radii, model)
         out = np.min(values, axis=1, where=ok, initial=np.inf)
         # A candidate left out of row i stops it at m >= bound[i], so a list
-        # answer up to bound[i] is exact.  So is any answer when no radius
-        # reaches past d[j, i] for any j: then nothing left out is admissible.
+        # answer up to bound[i] is exact.  So is any answer when no radius is
+        # positive (the first step, f = 0): a radius reaches past d[j, i] >= 0
+        # only in Model 2, at d[j, i] == 0, where germ j lies on i's carrier.
         unsure = out > near.bound
         if unsure.any():
             top = np.max(radii)
-            unsure &= ~(top <= near.colmin if model == 1 else top < near.colmin)
+            if model == 2 and top == 0:
+                unsure &= self._on_carrier
+            elif top <= 0:
+                unsure[:] = False
             for slab in self._row_blocks(np.nonzero(unsure)[0]):
                 ok, values = self.admissible(radii, model, slab=slab)
                 out[slab.rows] = np.min(values, axis=1, where=ok, initial=np.inf)

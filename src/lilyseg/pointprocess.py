@@ -293,15 +293,14 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
     n = table.n
     found: dict = {}
     values = None
-    # One sweep over row blocks, which also builds the near list and
-    # records the collinear pairs (see PairTable.near).  Germ g
-    # takes part in the distances of row d[g, :] and column d[:, g]; a
-    # collinear pair's two orders are one distance (equal by construction),
-    # so its column copy is masked.  Any germ-sharing pair within tolerance
-    # sits inside a run of adjacent sub-tolerance gaps of its germ's sorted
-    # distances; find the germs with such gaps by blocks, vectorized, and
-    # verify them exactly while their rows are at hand.
-    for slab in table._sweep():
+    # One sweep over row blocks.  Germ g takes part in the distances of row
+    # d[g, :] and column d[:, g]; a collinear pair's two orders are one
+    # distance (equal by construction), so its column copy is masked.  Any
+    # germ-sharing pair within tolerance sits inside a run of adjacent
+    # sub-tolerance gaps of its germ's sorted distances; find the germs with
+    # such gaps by blocks, vectorized, and verify them exactly while their
+    # rows are at hand.
+    for slab in table._row_blocks(np.arange(n)):
         b = len(slab.rows)
         if values is None:
             values = np.empty((b, 2 * n))

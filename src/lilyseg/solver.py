@@ -196,6 +196,7 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
     raises :class:`~lilyseg.errors.ConditionDViolation`; any tie reported
     is one ``check_condition_d`` reports too.
     """
+    _check_model(model)
     table, screen = _fixed_point_screen(point_set, model)
     radii, steps = _solve_fixed_point_array(table, model)
     solution = Solution(point_set, model, RadiiAssignment.from_array(radii), METHOD_FIXED_POINT, steps)
@@ -533,6 +534,7 @@ def verify_gmhs(
     Raises :class:`RadiiMismatch` when ``radii`` and ``point_set`` differ
     in length.
     """
+    _check_model(model)
     _require_matching(point_set, radii)
     table = shared_pair_table(point_set)
     return _verify_with_table(table, radii.to_array(), model, tol)

@@ -25,7 +25,6 @@ import io
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -177,6 +176,9 @@ def _replicate(job: Callable[[int], object], seeds: Sequence[int], workers: int 
     ``AbortRateExceeded``.  With ``workers > 1``, ``job`` must pickle.
     """
     if workers > 1:
+        # Imported here: a serial run loads neither the pool nor multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(partial(_attempt, job), seeds))
     else:

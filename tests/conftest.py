@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lilyseg import MarkedPoint, MarkedPointSet, Rectangle, fold_direction, sample_poisson
+from lilyseg import geometry
+from lilyseg.geometry import PARALLEL_TOL, NearList
 
 SQRT2 = math.sqrt(2.0)
 
@@ -16,6 +18,40 @@ def table_rows(table):
     for slab in table._row_blocks(np.arange(n)):
         d[slab.rows], transversal[slab.rows], collinear[slab.rows] = slab.d, slab.transversal, slab.collinear
     return d, transversal, collinear
+
+
+def near_reference(table):
+    """The near list read off whole rows: each row's first pairs in (m, j)
+    order at the current ``geometry._NEAR``, the next m, and every collinear
+    pair (i, j), i < j, in row-major order."""
+    n = table.n
+    width = n if n <= 2 * geometry._NEAR else geometry._NEAR
+    d, transversal, collinear = table_rows(table)
+    dT = d.T
+    order = np.argsort(np.maximum(d, dT), axis=1, kind="stable")
+    r = np.arange(n)[:, None]
+    j = order[:, :width]
+    bound = np.maximum(d, dT)[r[:, 0], order[:, width]] if width < n else np.full(n, np.inf)
+    ci, cj = np.nonzero(np.triu(collinear, k=1))
+    return NearList(j, d[r, j], dT[r, j], transversal[r, j], collinear[r, j], bound, np.column_stack((ci, cj)))
+
+
+def planted_points(n, seed, offset):
+    """``n`` germs with planted collinear, near-collinear and near-parallel pairs."""
+    rng = np.random.default_rng(seed)
+    xs = list(offset + rng.uniform(0.0, 30.0, n))
+    ys = list(offset + rng.uniform(0.0, 30.0, n))
+    thetas = list(rng.uniform(0.0, math.pi, n))
+    for k in range(0, n - 1, 7):
+        # Partner k + 1 on k's carrier (exactly or up to a tiny offset), or
+        # turned by a fraction or a multiple of PARALLEL_TOL.
+        t = rng.uniform(0.5, 20.0)
+        off = (0.0, 1e-14, 1e-12, 1e-3)[k % 4]
+        ux, uy = math.cos(thetas[k]), math.sin(thetas[k])
+        xs[k + 1], ys[k + 1] = xs[k] + t * ux - off * uy, ys[k] + t * uy + off * ux
+        turn = (0.0, 0.5, 0.9, 1.1, 2.0)[k % 5] * PARALLEL_TOL
+        thetas[k + 1] = fold_direction(thetas[k] + turn)
+    return [MarkedPoint(x, y, t) for x, y, t in zip(xs, ys, thetas)]
 
 
 @pytest.fixture(scope="session")

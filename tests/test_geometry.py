@@ -31,7 +31,7 @@ from lilyseg import geometry
 from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable, shared_pair_table
 from lilyseg.pointprocess import check_condition_d
 
-from conftest import table_rows
+from conftest import near_reference, planted_points, table_rows
 
 HALF_PI = math.pi / 2
 
@@ -270,32 +270,14 @@ def _dense_table(points, angle_tol=PARALLEL_TOL):
     return d, transversal, collinear
 
 
-def _planted_points(n, seed, offset):
-    """``n`` germs with planted collinear, near-collinear and near-parallel pairs."""
-    rng = np.random.default_rng(seed)
-    xs = list(offset + rng.uniform(0.0, 30.0, n))
-    ys = list(offset + rng.uniform(0.0, 30.0, n))
-    thetas = list(rng.uniform(0.0, math.pi, n))
-    for k in range(0, n - 1, 7):
-        # Partner k + 1 on k's carrier (exactly or up to a tiny offset), or
-        # turned by a fraction or a multiple of PARALLEL_TOL.
-        t = rng.uniform(0.5, 20.0)
-        off = (0.0, 1e-14, 1e-12, 1e-3)[k % 4]
-        ux, uy = math.cos(thetas[k]), math.sin(thetas[k])
-        xs[k + 1], ys[k + 1] = xs[k] + t * ux - off * uy, ys[k] + t * uy + off * ux
-        turn = (0.0, 0.5, 0.9, 1.1, 2.0)[k % 5] * PARALLEL_TOL
-        thetas[k + 1] = fold_direction(thetas[k] + turn)
-    return [mp(x, y, t) for x, y, t in zip(xs, ys, thetas)]
-
-
 @pytest.mark.parametrize(
     "points",
     [
         [],
         [mp(1.0, 2.0, 0.5)],
-        _planted_points(12, 1, 0.0),
-        _planted_points(700, 2, 0.0),
-        _planted_points(650, 3, 1e6),
+        planted_points(12, 1, 0.0),
+        planted_points(700, 2, 0.0),
+        planted_points(650, 3, 1e6),
     ],
     ids=["n0", "n1", "n12", "n700", "n650_offset"],
 )
@@ -314,7 +296,7 @@ def test_table_matches_dense_reference_bytewise(points):
 
 
 @pytest.mark.parametrize(
-    "points", [_planted_points(700, 2, 0.0), _planted_points(650, 3, 1e6)], ids=["n700", "n650_offset"]
+    "points", [planted_points(700, 2, 0.0), planted_points(650, 3, 1e6)], ids=["n700", "n650_offset"]
 )
 def test_row_blocks_match_dense_reference_bytewise(points):
     n = len(points)
@@ -336,18 +318,17 @@ def test_row_blocks_match_dense_reference_bytewise(points):
                 assert slab.collinear.tobytes() == collinear[slab.rows].tobytes()
                 seen.extend(slab.rows.tolist())
             assert seen == rows.tolist()
-    # The screen's sweep builds the same near list as a plain sweep, and the
-    # same report, whether or not the dense d was built first.
+    # The screen gives the same report, and the table the near list read off
+    # whole rows, whether or not the dense d was built first.
     reports = []
     for dense_first in (False, True):
         mps = MarkedPointSet(points)
         if dense_first:
             shared_pair_table(mps).d
         reports.append(check_condition_d(mps))
-        screened = shared_pair_table(mps)
-        assert screened._near is not None
-        for got, want in zip(screened.near, PairTable(points).near):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        table = shared_pair_table(mps)
+        for got, want in zip(table.near, near_reference(table)):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     assert reports[0] == reports[1] and not reports[0].passes
 
 

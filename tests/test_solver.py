@@ -398,6 +398,25 @@ def test_oracle_arguments_raise_before_the_table(call):
             call(mps)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mps: solve_fixed_point(mps, 3),
+        lambda mps: verify_gmhs(mps, RadiiAssignment.from_array(np.zeros(len(mps))), 3),
+    ],
+    ids=["solve", "verify"],
+)
+def test_model_checked_before_the_near_list(call):
+    mps = MarkedPointSet(tuple(sample_poisson(1.0, Rectangle.square(12.0), seed=2).points))
+    assert len(mps) > 128  # the grid builds its list
+    boom = AssertionError("pairs computed")
+    with mock.patch.object(PairTable, "_block", side_effect=boom), mock.patch.object(
+        PairTable, "_grid_rows", side_effect=boom
+    ):
+        with pytest.raises(InvalidInput):
+            call(mps)
+
+
 class TestSolutionFiles:
     def test_roundtrip(self, tmp_path, f3):
         solution = solve_fixed_point(f3, 1)

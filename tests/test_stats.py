@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +244,14 @@ class TestPercolationTrend:
 
 
 class TestWorkers:
-    """Trends are the same in a process pool."""
+    """Trends are the same in a process pool, and only a pool loads one."""
+
+    def test_import_loads_no_pool(self):
+        src = str(Path(lilyseg.stats.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, numpy, lilyseg; print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_trend_identical(self):
         serial = percolation_trend(1, 1.0, [5.0, 6.0, 7.0], 6, base_seed=4)
