@@ -8,12 +8,13 @@ This module computes those distances (scalar and all-pairs vectorized),
 realizes segments from solved radii, and holds the scalar contact
 predicates along with the :class:`PairTable` pair kernels that the solvers,
 the verifier and the structure analysis call: ``operator`` and
-``admissible`` (the stopping rule), ``stop_matches`` (explained stops) and
-``cover`` (the all-pairs contact test).  Every pair of the table is computed
-from the coordinates: a cell grid builds each germ's near list of closest
-stops from the germs around it, in O(n) pairs on a spread-out set, and the
-kernels fall back to rows recomputed on demand where the list cannot
-certify its answer.  The one n x n array is the distance matrix
+``admissible`` (the stopping rule), and ``answer_pass``, one traversal at
+an answer for the explained stops and the all-pairs contact tests, of
+which ``stop_matches`` and ``cover`` are views.  Every pair of the table
+is computed from the coordinates: a cell grid builds each germ's near list
+of closest stops from the germs around it, in O(n) pairs on a spread-out
+set, and the kernels fall back to rows recomputed on demand where the list
+cannot certify its answer.  The one n x n array is the distance matrix
 ``PairTable.d``, built on first use for the oracle solvers in
 :mod:`lilyseg.solver` and the tests.
 
@@ -35,6 +36,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -282,6 +284,18 @@ class _Slab(NamedTuple):
     collinear: np.ndarray
 
 
+class AnswerPass(NamedTuple):
+    """Explained stops and contacts at one answer (see :meth:`PairTable.answer_pass`).
+
+    Pairs of a contact are keys ``i * n + j``, ``i < j``, ascending.
+    """
+
+    stop_i: np.ndarray  # explained stops (stop_i[k], stop_j[k]), in row-major order
+    stop_j: np.ndarray
+    strict: np.ndarray  # pairs whose open cores share a point
+    touching: np.ndarray  # pairs whose closed segments touch
+
+
 def _workspace(pairs: int) -> Tuple[np.ndarray, np.ndarray]:
     """Scratch space for :meth:`PairTable._block` on up to ``pairs`` pairs."""
     return np.empty(6 * pairs), np.empty(3 * pairs, dtype=bool)
@@ -340,8 +354,8 @@ class PairTable:
     the fixed ``PARALLEL_TOL``, as in :func:`pair_geometry`.  A point set
     keeps its table (see :func:`shared_pair_table`).
 
-    The pair kernels (``operator``, ``admissible``, ``stop_matches`` and
-    ``cover``) read the near list: for each row ``i`` the first ``_NEAR``
+    The pair kernels (``operator``, ``admissible`` and ``answer_pass``)
+    read the near list: for each row ``i`` the first ``_NEAR``
     pairs in (m, j) order, ``m[i, j] = max(d[i, j], d[j, i])``, and
     ``bound[i]``, the smallest ``m`` left out.  Every admissible stop and
     every contact of ``i`` beyond ``bound[i]`` costs at least ``bound[i]``,
@@ -575,6 +589,18 @@ class PairTable:
         Raises :class:`InputTooLarge`, before allocating, when the matrix and
         the oracle solvers' work on it would not fit in physical memory.
         """
+        for _ in self._dense_rows():
+            pass
+        return self.__dict__["d"]
+
+    def _dense_rows(self):
+        """Every row, as :meth:`_row_blocks` yields them, each block copied
+        into a new n x n matrix that becomes :attr:`d` after the last one.
+
+        Lets one sweep both build ``d`` and feed another consumer of whole
+        rows (the oracles' full screen).  The memory guard of :attr:`d` runs
+        before the first block.
+        """
         n = self.n
         need = n * n * _PAIR_BYTES
         try:
@@ -589,7 +615,8 @@ class PairTable:
         d = np.empty((n, n))
         for slab in self._row_blocks(np.arange(n)):
             d[slab.rows[0]:slab.rows[-1] + 1] = slab.d
-        return d
+            yield slab
+        self.__dict__["d"] = d
 
     def _near_slab(self, rows: Optional[np.ndarray] = None) -> _Slab:
         """The near list as a slab, restricted to ``rows`` when given."""
@@ -638,7 +665,7 @@ class PairTable:
         """
         near = self.near
         ok, values = self.admissible(radii, model)
-        out = np.min(values, axis=1, where=ok, initial=np.inf)
+        out = _row_min(ok, values)
         # A candidate left out of row i stops it at m >= bound[i], so a list
         # answer up to bound[i] is exact.  So is any answer when no radius is
         # positive (the first step, f = 0): a radius reaches past d[j, i] >= 0
@@ -652,7 +679,7 @@ class PairTable:
                 unsure[:] = False
             for slab in self._row_blocks(np.nonzero(unsure)[0]):
                 ok, values = self.admissible(radii, model, slab=slab)
-                out[slab.rows] = np.min(values, axis=1, where=ok, initial=np.inf)
+                out[slab.rows] = _row_min(ok, values)
                 if screen is not None:
                     screen(slab, radii, out)
         if screen is not None:
@@ -660,63 +687,101 @@ class PairTable:
             screen(self._near_slab(None if len(listed) == self.n else listed), radii, out)
         return out
 
+    def answer_pass(self, radii: np.ndarray, model: Optional[int], tol: float) -> AnswerPass:
+        """Explained stops and both contact tests at ``radii``, in one traversal.
+
+        The near list is read over the rows whose list certifies both the
+        stop matching and the contacts, and the other rows are computed
+        whole, once for both.  Stops are matched in Model ``model`` (none
+        when it is ``None``): admissible ``(i, j)`` whose stop value is
+        ``radii[i]`` within ``tol``, searched on rows with a finite radius
+        only.  Contacts are the all-pairs forms of
+        :func:`relative_interiors_intersect` (``strict``) and
+        :func:`segments_touch` (``touching``) at slack ``tol``.
+        """
+        n, bound = self.n, self.near.bound
+        finite = np.isfinite(radii)
+        with np.errstate(invalid="ignore"):
+            # A touching pair, transversal or collinear, has m <= R * (1 + tol)
+            # for the larger radius R of the two, so it is in that member's
+            # near list whenever R * (1 + tol) < bound there; a pair of
+            # infinite m never touches, so a list with bound inf holds every
+            # contact.
+            listed = np.isinf(bound) | (finite & (radii * (1.0 + tol) < bound))
+            if model is not None:
+                # A stop left out of row i has a value >= bound[i]; once
+                # bound[i] clears the matching slack, the list holds every match.
+                listed &= ~finite | (bound - radii > tol * np.maximum(radii, 1.0))
+        stops, touching, strict = [np.zeros(0, dtype=np.intp)], [], []
+        # The list over every row, its hits kept on the rows it certifies, then whole rows.
+        whole = zip(self._row_blocks(np.nonzero(~listed)[0]), repeat(None))
+        for slab, keep in chain([(self._near_slab(), listed)], whole):
+            rows, cols, d, dT, transversal, collinear = slab
+            ri, rj = radii[rows, None], radii[cols]
+            with np.errstate(invalid="ignore"):
+                # Infinite radii cover every finite distance, interior included.
+                hit = transversal & np.where(np.isinf(ri), np.isfinite(d), d <= ri * (1.0 + tol))
+                hit &= np.where(np.isinf(rj), np.isfinite(dT), dT <= rj * (1.0 + tol))
+                if collinear.any():
+                    reach = ri + rj
+                    hit |= collinear & (np.isinf(reach) | (d + dT <= reach * (1.0 + tol)))
+            a, b = np.nonzero(hit)
+            if keep is not None:
+                a, b = a[keep[a]], b[keep[a]]
+            i, j = rows[a], cols[a, b]
+            touching.append(np.minimum(i, j) * n + np.maximum(i, j))
+            # Interior contacts are touching ones, tested again strictly.
+            ri, rj, d, dT = radii[i], radii[j], d[a, b], dT[a, b]
+            with np.errstate(invalid="ignore"):
+                inside = transversal[a, b] & np.where(np.isinf(ri), np.isfinite(d), d < ri * (1.0 - tol))
+                inside &= np.where(np.isinf(rj), np.isfinite(dT), dT < rj * (1.0 - tol))
+                reach = ri + rj
+                inside |= collinear[a, b] & (np.isinf(reach) | (d + dT < reach * (1.0 - tol)))
+            strict.append(touching[-1][inside])
+            if model is not None:
+                ok, values = self.admissible(radii, model, tol, slab)
+                ri = radii[rows, None]
+                with np.errstate(invalid="ignore"):
+                    hit = ok & (np.abs(values - ri) <= tol * np.maximum(ri, 1.0))
+                hit &= (finite[rows] if keep is None else keep & finite)[:, None]
+                a, b = np.nonzero(hit)
+                stops.append(rows[a] * n + cols[a, b])
+        stop_i, stop_j = np.divmod(np.sort(np.concatenate(stops)), n)
+        return AnswerPass(stop_i, stop_j, np.unique(np.concatenate(strict)), np.unique(np.concatenate(touching)))
+
     def stop_matches(self, radii: np.ndarray, model: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:
         """Explained stops: admissible ``(i, j)`` whose stop value is ``radii[i]`` within ``tol``.
 
         Only rows with a finite radius are searched.  Returns the index
-        arrays ``i`` and ``j`` in row-major order.
+        arrays ``i`` and ``j`` in row-major order (see :meth:`answer_pass`).
         """
-        finite = np.isfinite(radii)
-        # A candidate left out of row i has a stop value >= bound[i]; once
-        # bound[i] clears the matching slack, the list holds every match.
-        with np.errstate(invalid="ignore"):
-            sure = finite & (self.near.bound - radii > tol * np.maximum(radii, 1.0))
-        keys = []
-        for slab in self._slabs(sure, finite & ~sure):
-            ok, values = self.admissible(radii, model, tol, slab)
-            ri = radii[slab.rows, None]
-            with np.errstate(invalid="ignore"):
-                hit = ok & (np.abs(values - ri) <= tol * np.maximum(ri, 1.0))
-            a, b = np.nonzero(hit)
-            keys.append(slab.rows[a] * self.n + slab.cols[a, b])
-        return np.divmod(np.sort(np.concatenate(keys)), self.n)
+        found = self.answer_pass(radii, model, tol)
+        return found.stop_i, found.stop_j
 
     def cover(self, radii: np.ndarray, strict: bool, tol: float) -> List[Tuple[int, int]]:
         """Pairs ``(i, j)``, ``i < j``, whose segments share a point.
 
         The all-pairs form of :func:`relative_interiors_intersect`
-        (``strict``) or :func:`segments_touch`, in row-major order.
+        (``strict``) or :func:`segments_touch`, in row-major order (see
+        :meth:`answer_pass`).
         """
-        # A touching pair, transversal or collinear, has m <= R * (1 + tol)
-        # for the larger radius R of the two, so it is in that member's near
-        # list whenever R * (1 + tol) < bound there; a pair of infinite m
-        # never touches, so a list with bound inf holds every contact.
-        bound = self.near.bound
-        with np.errstate(invalid="ignore"):
-            sure = np.isinf(bound) | (np.isfinite(radii) & (radii * (1.0 + tol) < bound))
-        less = np.less if strict else np.less_equal
-        scale = 1.0 - tol if strict else 1.0 + tol
-        keys = []
-        for rows, cols, d, dT, transversal, collinear in self._slabs(sure, ~sure):
-            ri, rj = radii[rows, None], radii[cols]
-            with np.errstate(invalid="ignore"):
-                # Infinite radii cover every finite distance, interior included.
-                hit = transversal & np.where(np.isinf(ri), np.isfinite(d), less(d, ri * scale))
-                hit &= np.where(np.isinf(rj), np.isfinite(dT), less(dT, rj * scale))
-                if collinear.any():
-                    reach = ri + rj
-                    hit |= collinear & (np.isinf(reach) | less(d + dT, reach * scale))
-            a, b = np.nonzero(hit)
-            i, j = rows[a], cols[a, b]
-            keys.append(np.minimum(i, j) * self.n + np.maximum(i, j))
-        i, j = np.divmod(np.unique(np.concatenate(keys)), self.n)
-        return list(zip(i.tolist(), j.tolist()))
+        found = self.answer_pass(radii, None, tol)
+        return _key_pairs(found.strict if strict else found.touching, self.n)
 
-    def _slabs(self, listed: np.ndarray, whole: np.ndarray):
-        """The near list over the rows ``listed`` marks, then whole rows ``whole`` marks."""
-        rows = np.nonzero(listed)[0]
-        yield self._near_slab(None if len(rows) == self.n else rows)
-        yield from self._row_blocks(np.nonzero(whole)[0])
+
+def _key_pairs(keys: np.ndarray, n: int) -> List[Tuple[int, int]]:
+    """Pair keys ``i * n + j`` as tuples ``(i, j)``."""
+    i, j = np.divmod(keys, n)
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def _row_min(ok: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row, the smallest of ``values`` where ``ok`` (``inf`` when none is).
+
+    Equal bit for bit to ``np.min(values, axis=1, where=ok, initial=inf)``
+    on values that are never NaN, at about half its cost.
+    """
+    return np.where(ok, values, np.inf).min(axis=1, initial=np.inf)
 
 
 def _check_model(model: int) -> None:

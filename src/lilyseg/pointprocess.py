@@ -11,11 +11,12 @@ matters only where the growth protocol compares two of them:
 * the stopping operator, for row i: Model-1 candidacy d[i, j] against
   d[j, i]; the reach rule, radius R_j (itself a distance of germ j) against
   d[j, i]; and the row minimum over the admissible stop values;
-* ``stop_matches`` and ``cover`` (verification and ``analyze``) compare
-  stop values and contact distances with radii of the same germs, but
-  with a relative slack (1e-9 by default), not exactly: two values within
-  it show as an ambiguous stop or a failed verification, which no screen
-  at the tie tolerance rules out or needs to;
+* ``answer_pass`` (the stops and contacts that verification and
+  ``analyze`` share) compares stop values and contact distances with
+  radii of the same germs, but with a relative slack (1e-9 by default),
+  not exactly: two values within it show as an ambiguous stop or a
+  failed verification, which no screen at the tie tolerance rules out or
+  needs to;
 * the chain solver's confirmation compares a radius or a lower bound of
   germ j with d[j, i], the reach rule again; the greedy sweep orders events
   by time and then applies the reach rule.
@@ -286,7 +287,9 @@ class ConditionDReport:
     collinear_pairs: Tuple[Tuple[int, int], ...]
 
 
-def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDReport:
+def _condition_d_from_table(table: PairTable, tie_tol: float, rows=None) -> ConditionDReport:
+    """The full screen of a table, kept on it; ``rows``, when given, is the
+    sweep of every row to read (see ``PairTable._dense_rows``)."""
     cached = table._condition_reports.get(tie_tol)
     if cached is not None:
         return cached
@@ -300,7 +303,7 @@ def _condition_d_from_table(table: PairTable, tie_tol: float) -> ConditionDRepor
     # sub-tolerance gaps of its germ's sorted distances; find the germs with
     # such gaps by blocks, vectorized, and verify them exactly while their
     # rows are at hand.
-    for slab in table._row_blocks(np.arange(n)):
+    for slab in table._row_blocks(np.arange(n)) if rows is None else rows:
         b = len(slab.rows)
         if values is None:
             values = np.empty((b, 2 * n))

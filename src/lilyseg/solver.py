@@ -20,9 +20,15 @@ marked point set:
 
 The fixed-point solve, ``verify_gmhs`` and the structure analysis hold
 O(n) state and share the pair kernels of
-:class:`~lilyseg.geometry.PairTable`.  The chain and greedy solvers and
+:class:`~lilyseg.geometry.PairTable`.  Verification makes one
+stop-and-contact pass over the pairs at the answer
+(``PairTable.answer_pass``: explained stops, interior contacts and
+touching pairs) besides one operator application; a solver's verified
+``Solution`` keeps that pass, and ``stopping_map`` and ``analyze`` read it
+instead of traversing the pairs again.  The chain and greedy solvers and
 ``find_descending_chain`` are oracles: they read only the dense distance
-matrix ``PairTable.d``, which is built on first use and raises
+matrix ``PairTable.d``, which is built on first use, in the same row sweep
+as the oracles' full genericity screen, and raises
 :class:`~lilyseg.errors.InputTooLarge` when it would not fit in memory,
 and they apply the stopping rule through their own whole-matrix helpers
 below, not through the kernels they check.
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -55,9 +61,11 @@ from .errors import (
     RadiiMismatch,
     VerificationFailed,
 )
-from .geometry import PairTable, _check_model, shared_pair_table
+from .geometry import AnswerPass, PairTable, _check_model, _key_pairs, shared_pair_table
 from .pointprocess import (
+    TIE_TOL,
     MarkedPointSet,
+    _condition_d_from_table,
     _fixed_point_screen,
     realization_from_json,
     realization_to_json,
@@ -69,6 +77,9 @@ SOLUTION_SCHEMA = "1"
 METHOD_FIXED_POINT = "fixed_point"
 METHOD_CHAIN = "chain"
 METHOD_GREEDY = "greedy_oracle"
+
+#: Relative slack of the verification a solver runs on its answer.
+VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,6 +117,11 @@ class Solution:
     radii: RadiiAssignment
     method: str
     iterations: int
+    # The stops and contacts of the verification that certified the radii
+    # (tolerance VERIFY_TOL), kept for the structure analysis.  Set by the
+    # solvers only: a copy made with dataclasses.replace, or a solution
+    # built from its fields, carries none and is analyzed from the table.
+    _answer: Optional[AnswerPass] = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.point_set)
@@ -205,7 +221,11 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
 
 
 def _require_verified(solution: Solution, table: PairTable, screen=None) -> None:
-    report = _verify_with_table(table, solution.radii.to_array(), solution.model, tol=1e-9, screen=screen)
+    """Raise :class:`VerificationFailed` unless ``solution`` verifies; on
+    success it keeps the stops and contacts of its verification."""
+    radii = solution.radii.to_array()
+    answer = table.answer_pass(radii, solution.model, VERIFY_TOL)
+    report = _verify_with_table(table, radii, solution.model, VERIFY_TOL, screen, answer)
     if not report.passes:
         raise VerificationFailed(
             f"{solution.method} produced an invalid system: "
@@ -213,6 +233,7 @@ def _require_verified(solution: Solution, table: PairTable, screen=None) -> None
             f"{len(report.growth_maximal_violations)} unexplained stop(s), "
             f"{len(report.fixed_point_deviations)} operator deviation(s)"
         )
+    object.__setattr__(solution, "_answer", answer)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +393,14 @@ def _trace_from(state: _ChainState, start: int, step_budget: int) -> ChainTrace:
 def _oracle_table(point_set: MarkedPointSet) -> PairTable:
     """The table with its dense ``d`` built, after the full screen.
 
-    ``d`` comes first, so an oversized set raises :class:`InputTooLarge`
+    One sweep over every row fills ``d`` and feeds the screen.  ``d`` is
+    allocated first, so an oversized set raises :class:`InputTooLarge`
     before the O(n^2) screen runs.
     """
-    shared_pair_table(point_set).d
+    table = shared_pair_table(point_set)
+    if "d" not in vars(table):
+        _condition_d_from_table(table, TIE_TOL, table._dense_rows())
+    table.d  # built by now, unless a screen kept from an earlier call read no row
     return require_condition_d(point_set)
 
 
@@ -506,10 +531,15 @@ class VerificationReport:
         )
 
 
-def _verify_with_table(table: PairTable, radii: np.ndarray, model: int, tol: float, screen=None) -> VerificationReport:
-    hard = tuple(table.cover(radii, strict=True, tol=tol))
+def _verify_with_table(
+    table: PairTable, radii: np.ndarray, model: int, tol: float, screen=None, answer: Optional[AnswerPass] = None
+) -> VerificationReport:
+    """Verify ``radii``; ``answer``, when given, is ``table.answer_pass(radii, model, tol)``."""
+    if answer is None:
+        answer = table.answer_pass(radii, model, tol)
+    hard = tuple(_key_pairs(answer.strict, table.n))
     explained = np.zeros(table.n, dtype=bool)
-    explained[table.stop_matches(radii, model, tol)[0]] = True
+    explained[answer.stop_i] = True
     growth = tuple(int(i) for i in np.nonzero(np.isfinite(radii) & ~explained)[0])
 
     mapped = table._operator(radii, model, screen)

@@ -27,6 +27,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -132,33 +133,39 @@ def _collect_replication(config: McConfig, seed: int) -> _RepStats:
     nu = np.array(report.nu)
     stats.sum_nu = int(nu[certified].sum()) if len(nu) else 0
 
+    members, sizes = _flat(report.cycles)
     in_cycle_size = np.zeros(len(mps), dtype=int)
-    for cyc in report.cycles:
-        for member in cyc:
-            in_cycle_size[member] = len(cyc)
-    for size in in_cycle_size[certified]:
-        if size:
-            stats.cycle_counts[int(size)] = stats.cycle_counts.get(int(size), 0) + 1
+    in_cycle_size[members] = np.repeat(sizes, sizes)
+    size = in_cycle_size[certified]
+    values, first, counts = np.unique(size[size > 0], return_index=True, return_counts=True)
+    order = np.argsort(first)  # sizes in the order certified germs first show them
+    stats.cycle_counts = dict(zip(values[order].tolist(), counts[order].tolist()))
 
     in_doublet = np.zeros(len(mps), dtype=bool)
-    for a, b in report.doublets:
-        in_doublet[a] = in_doublet[b] = True
+    in_doublet[_flat(report.doublets)[0]] = True
     stats.doublet_count = int(in_doublet[certified].sum())
 
+    # Clusters by label, in report order; each cluster's representative is
+    # its lexicographically smallest germ.
+    members, sizes = _flat(report.clusters)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    all_finite = np.bincount(label[~np.isfinite(radii[members])], minlength=len(sizes)) == 0
     cluster_all_finite = np.zeros(len(mps), dtype=bool)
-    for cluster in report.clusters:
-        members = np.array(cluster)
-        all_finite = bool(np.isfinite(radii[members]).all())
-        cluster_all_finite[members] = all_finite
-        if all_finite and len(mps):
-            rep_idx = min(cluster, key=lambda i: (coords[i, 0], coords[i, 1]))
-            if certified[rep_idx]:
-                stats.cluster_sizes.append(len(cluster))
+    cluster_all_finite[members] = all_finite[label]
+    by_germ = members[np.lexsort((coords[members, 1], coords[members, 0], label))]
+    rep = by_germ[np.cumsum(sizes) - sizes]
+    stats.cluster_sizes = sizes[all_finite & certified[rep]].tolist()
     stats.finite_cluster_members = int(cluster_all_finite[certified].sum())
 
     finite_and_certified = certified & np.isfinite(radii)
     stats.finite_radii = radii[finite_and_certified]
     return stats
+
+
+def _flat(groups: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The members of ``groups`` in order, and the size of each group."""
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    return np.fromiter(chain.from_iterable(groups), dtype=np.intp, count=int(sizes.sum())), sizes
 
 
 def _attempt(job: Callable[[int], object], seed: int) -> Tuple[object, Optional[str]]:
@@ -670,8 +677,7 @@ def mass_transport_check(
     rhs_terms = nu.astype(int) - finite.astype(int)
     if solution.model == 2:
         in_doublet = np.zeros(len(radii), dtype=bool)
-        for a, b in report.doublets:
-            in_doublet[a] = in_doublet[b] = True
+        in_doublet[_flat(report.doublets)[0]] = True
         rhs_terms = rhs_terms + in_doublet.astype(int)
     rhs = int(rhs_terms[certified].sum())
     return MassTransportTally(

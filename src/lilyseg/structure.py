@@ -4,18 +4,23 @@ A solved system induces a functional graph: every finite-radius segment
 has exactly one stopping neighbour.  Clusters are the components of the
 undirected version of that graph; Model 1 closes finite clusters with a
 cycle of length at least three, Model 2 with a mutual pair of equal radii
-(a doublet).  Stops come from ``PairTable.stop_matches``.  Contact edges
-derived from the stopping relation are checked against the closed-segment
-contact test ``PairTable.cover(strict=False)`` on every analysis, so the
-two cluster notions (touching vs. stopping) are asserted to coincide
-rather than assumed.  Both kernels read each germ's near list of closest
-stops and fall back to whole table rows only where the list cannot
-certify its answer; the results equal the all-pairs evaluation.
+(a doublet).  Stops and contacts come from one stop-and-contact pass per
+answer, ``PairTable.answer_pass``: the explained stops and the touching
+pairs.  The solver's verification makes that pass and the verified
+solution carries it, so the analysis at the verification's tolerance
+traverses no pair; otherwise it makes the pass itself.  Contact edges
+derived from the stopping relation are checked against the touching pairs
+on every analysis, so the two cluster notions (touching vs. stopping) are
+asserted to coincide rather than assumed.  The pass reads each germ's
+near list of closest stops and falls back to whole table rows only where
+the list cannot certify its answer; the results equal the all-pairs
+evaluation.  The bookkeeping after it (stopping map, contact comparison,
+neighbour counts, cycles, doublets and cluster invariants) runs on arrays;
+only the union-find that orders the clusters walks the edges in Python.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -23,9 +28,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import AmbiguousStop, StructureInconsistency
-from .geometry import shared_pair_table
+from .geometry import AnswerPass, _key_pairs, shared_pair_table
 from .pointprocess import Window
-from .solver import Solution
+from .solver import VERIFY_TOL, Solution
 
 
 @dataclass(frozen=True)
@@ -51,28 +56,40 @@ class StoppingMap:
         return i in self._index
 
 
-def stopping_map(solution: Solution, tol: float = 1e-9) -> StoppingMap:
+def _answer_of(solution: Solution, radii: np.ndarray, tol: float) -> AnswerPass:
+    """The stops and contacts at the solution: those its verification found
+    when it carries them at this tolerance, else a pass over the table."""
+    carried = solution._answer
+    if carried is not None and tol == VERIFY_TOL:
+        return carried
+    return shared_pair_table(solution.point_set).answer_pass(radii, solution.model, tol)
+
+
+def _stops(radii: np.ndarray, answer: AnswerPass) -> Tuple[np.ndarray, np.ndarray]:
+    """The stops ``(i, j)`` of the finite indices ``i``, ascending; raises
+    unless each finite index has exactly one."""
+    rows, cols = answer.stop_i, answer.stop_j
+    count = np.bincount(rows, minlength=len(radii))
+    bad = np.nonzero(np.isfinite(radii) & (count != 1))[0]
+    if len(bad):
+        i = int(bad[0])
+        if count[i] == 0:
+            raise StructureInconsistency(f"index {i} has no stopping neighbour")
+        raise AmbiguousStop(f"index {i} stops on {cols[rows == i].tolist()} within tolerance")
+    return rows, cols
+
+
+def stopping_map(solution: Solution, tol: float = VERIFY_TOL) -> StoppingMap:
     """Identify the unique stopping neighbour of every finite-radius index.
 
-    Candidates come from ``PairTable.stop_matches``.  Exactly one index may
-    realize each stop; several matches within tolerance signal a genericity
-    near-tie and raise :class:`AmbiguousStop`.
+    Candidates are the explained stops of ``PairTable.answer_pass``, the
+    ones the solver's verification found when the solution carries them.
+    Exactly one index may realize each stop; several matches within
+    tolerance signal a genericity near-tie and raise :class:`AmbiguousStop`.
     """
-    table = shared_pair_table(solution.point_set)
     radii = solution.radii.to_array()
-    rows, cols = table.stop_matches(radii, solution.model, tol)
-    finite = np.nonzero(np.isfinite(radii))[0]
-    starts = np.searchsorted(rows, finite, side="left").tolist()
-    ends = np.searchsorted(rows, finite, side="right").tolist()
-    stops: List[Tuple[int, int]] = []
-    for i, lo, hi in zip(finite.tolist(), starts, ends):
-        js = cols[lo:hi]
-        if len(js) == 0:
-            raise StructureInconsistency(f"index {i} has no stopping neighbour")
-        if len(js) > 1:
-            raise AmbiguousStop(f"index {i} stops on {js.tolist()} within tolerance")
-        stops.append((int(i), int(js[0])))
-    return StoppingMap(tuple(stops))
+    rows, cols = _stops(radii, _answer_of(solution, radii, tol))
+    return StoppingMap(tuple(zip(rows.tolist(), cols.tolist())))
 
 
 @dataclass(frozen=True)
@@ -127,123 +144,167 @@ class _UnionFind:
         if ra != rb:
             self.parent[rb] = ra
 
-
-def _functional_cycles(stops: Dict[int, int]) -> List[Tuple[int, ...]]:
-    """Cycles of the partial functional graph ``i -> stops[i]``."""
-    color: Dict[int, int] = {}  # 0 in progress, 1 done
-    cycles: List[Tuple[int, ...]] = []
-    for root in stops:
-        if root in color:
-            continue
-        path: List[int] = []
-        pos: Dict[int, int] = {}
-        node: Optional[int] = root
-        while node is not None and node in stops and node not in color and node not in pos:
-            pos[node] = len(path)
-            path.append(node)
-            node = stops.get(node)
-        if node is not None and node in pos:
-            cycles.append(tuple(path[pos[node]:]))
-        for visited in path:
-            color[visited] = 1
-    return cycles
+    def roots(self) -> np.ndarray:
+        """Every index's root, by pointer jumping."""
+        root = np.array(self.parent, dtype=np.intp)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                return root
+            root = up
 
 
-def analyze(solution: Solution, tol: float = 1e-9) -> StructureReport:
+def _jump(step: np.ndarray, n: int) -> np.ndarray:
+    """``step`` applied at least n times, by repeated squaring."""
+    for _ in range(n.bit_length()):
+        step = step[step]
+    return step
+
+
+def analyze(solution: Solution, tol: float = VERIFY_TOL) -> StructureReport:
     """Full structural decomposition of a solved system.
 
     Contact edges come from the stopping relation (each finite segment
     touches its stopper); they are asserted to agree with the closed-segment
-    contact test ``PairTable.cover(strict=False)``, which guards against
-    tolerance-induced phantom contacts as well as missed ones.  Cluster invariants (one cycle
-    or doublet per all-finite cluster, none alongside an infinite member)
-    are asserted and raise :class:`StructureInconsistency` when broken.
+    contact test, which guards against tolerance-induced phantom contacts as
+    well as missed ones.  Stops and contacts come from one
+    ``PairTable.answer_pass``, the one the solver's verification made when
+    the solution carries it.  Cluster invariants (one cycle or doublet per
+    all-finite cluster, none alongside an infinite member) are asserted and
+    raise :class:`StructureInconsistency` when broken.
     """
-    stops = stopping_map(solution, tol).as_dict()
-    table = shared_pair_table(solution.point_set)
     radii = solution.radii.to_array()
+    answer = _answer_of(solution, radii, tol)
+    rows, cols = _stops(radii, answer)
     n = len(radii)
 
-    # One int object per index, shared by the report's edges and clusters,
-    # keeps a report about a sixth smaller (two reports of a 45x45 window:
-    # 0.76 -> 0.63 MiB) for callers that keep many.
-    ids = list(range(n))
-    edges = {(ids[min(i, j)], ids[max(i, j)]) for i, j in stops.items()}
-    touched = set(table.cover(radii, strict=False, tol=tol))
-    if touched != edges:
-        extra = sorted(touched - edges)
-        missing = sorted(edges - touched)
-        raise StructureInconsistency(
-            f"contact graph mismatch: unexplained touches {extra[:4]}, missing {missing[:4]}"
-        )
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    keys = np.unique(lo * n + hi)
+    if not np.array_equal(keys, answer.touching):
+        extra = _key_pairs(np.setdiff1d(answer.touching, keys)[:4], n)
+        missing = _key_pairs(np.setdiff1d(keys, answer.touching)[:4], n)
+        raise StructureInconsistency(f"contact graph mismatch: unexplained touches {extra}, missing {missing}")
 
+    ids, edge_tuples = _report_objects(solution.point_set)
+    shared = ids.__getitem__
+    # The union order, the set's iteration order, decides each cluster's
+    # root and so the order of the clusters.
     uf = _UnionFind(n)
-    for i, j in edges:
+    for i, j in set(zip(map(shared, lo.tolist()), map(shared, hi.tolist()))):
         uf.union(i, j)
-    by_root: Dict[int, List[int]] = {}
-    for i in ids:
-        by_root.setdefault(uf.find(i), []).append(i)
-    clusters = tuple(tuple(sorted(members)) for _, members in sorted(by_root.items()))
+    root = uf.roots()
+    order = np.argsort(root, kind="stable")
+    cut = np.flatnonzero(np.diff(root[order])) + 1
+    members = list(map(shared, order.tolist()))
+    bounds = [0, *cut.tolist(), n] if n else [0]
+    clusters = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.repeat(np.arange(len(clusters)), np.diff(bounds))
 
-    nu = [0] * n
-    for i, j in edges:
-        nu[i] += 1
-        nu[j] += 1
-
-    cycles_raw = _functional_cycles(stops)
-    if solution.model == 1:
-        for cyc in cycles_raw:
-            if len(cyc) < 3:
-                raise StructureInconsistency(f"Model 1 produced a {len(cyc)}-cycle: {cyc}")
-        cycles = tuple(tuple(cyc) for cyc in cycles_raw)
-        doublets: Tuple[Tuple[int, int], ...] = ()
-    else:
-        for cyc in cycles_raw:
-            if len(cyc) != 2:
-                raise StructureInconsistency(f"Model 2 produced a {len(cyc)}-cycle: {cyc}")
-        doublets = tuple(tuple(sorted(cyc)) for cyc in cycles_raw)
-        for i, j in doublets:
-            if radii[i] != radii[j]:
-                raise StructureInconsistency(f"doublet ({i},{j}) with unequal radii")
-        cycles = ()
-
-    _assert_cluster_invariants(solution.model, clusters, cycles, doublets, radii)
+    i, j = np.divmod(keys, n)
+    nu = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    cycles, doublets = _closers(solution.model, radii, rows, cols, label, order[bounds[:-1]], ids, edge_tuples)
+    _assert_cluster_invariants(solution.model, clusters, label, cycles, doublets, radii)
     return StructureReport(
         model=solution.model,
-        contact_edges=tuple(sorted(edges)),
+        contact_edges=_edges(keys.tolist(), n, ids, edge_tuples),
         clusters=clusters,
         cycles=cycles,
         doublets=doublets,
-        nu=tuple(nu),
+        nu=tuple(nu.tolist()),
     )
 
 
-def _assert_cluster_invariants(model, clusters, cycles, doublets, radii) -> None:
-    closer_of: Dict[int, int] = {}
+def _report_objects(point_set) -> Tuple[List[int], Dict[int, Tuple[int, int]]]:
+    """One int object per index and one tuple per contact edge ``(i, j)``,
+    keyed ``i * n + j``, kept on the point set for every report on it.
+
+    Reports of one set share them: a report holds no int or edge of its own,
+    and the Model-1 and Model-2 reports of a set share every edge they have
+    in common (about 1150 of 2000 and 1250 on a 45x45 window), which keeps
+    callers that hold many reports small.  Pickles of a set carry none (see
+    ``MarkedPointSet.__getstate__``).
+    """
+    objects = vars(point_set).get("_report_objects")
+    if objects is None:
+        objects = (list(range(len(point_set))), {})
+        object.__setattr__(point_set, "_report_objects", objects)
+    return objects
+
+
+def _edges(keys: List[int], n: int, ids: List[int], edge_tuples: dict) -> Tuple[Tuple[int, int], ...]:
+    """The shared tuples of the edges ``keys``, made for those not yet made."""
+    found = list(map(edge_tuples.get, keys))
+    for pos in [pos for pos, edge in enumerate(found) if edge is None]:
+        key = keys[pos]
+        found[pos] = edge_tuples[key] = (ids[key // n], ids[key % n])
+    return tuple(found)
+
+
+def _closers(model, radii, rows, cols, label, lead, ids, edge_tuples):
+    """Cycles of the stopping map (Model 1) or its doublets (Model 2), checked.
+
+    ``label`` gives each index's cluster and ``lead`` each cluster's
+    smallest index; ``ids`` and ``edge_tuples`` are the set's shared report
+    objects (see ``_report_objects``).  A cluster holds at most one cycle.
+    Walking the map from each finite index in turn, the first walk to reach
+    a cycle starts at its cluster's smallest index and enters the cycle
+    where that index's path first meets it; each cycle is listed from
+    there, in the order of those walks.
+    """
+    n = len(radii)
+    stop = np.arange(n)
+    stop[rows] = cols  # an index without a stop maps to itself
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[_jump(stop, n)] = True
+    on_cycle &= np.isfinite(radii)
+    length = np.bincount(label[on_cycle], minlength=len(lead))
+    first = np.sort(lead[length > 0])
+    length = length[label[first]]
+    start = _jump(np.where(on_cycle, np.arange(n), stop), n)[first]
+    walk = [start]
+    for _ in range(int(length.max(initial=0)) - 1):
+        walk.append(stop[walk[-1]])
+    flat = list(map(ids.__getitem__, np.stack(walk, axis=1)[np.arange(len(walk)) < length[:, None]].tolist()))
+    ends = np.cumsum(length).tolist()
+    found = [tuple(flat[b - k:b]) for k, b in zip(length.tolist(), ends)]
+    if model == 1:
+        for cyc in found:
+            if len(cyc) < 3:
+                raise StructureInconsistency(f"Model 1 produced a {len(cyc)}-cycle: {cyc}")
+        return tuple(found), ()
+    for cyc in found:
+        if len(cyc) != 2:
+            raise StructureInconsistency(f"Model 2 produced a {len(cyc)}-cycle: {cyc}")
+    doublets = _edges([min(cyc) * n + max(cyc) for cyc in found], n, ids, edge_tuples)
+    for i, j in doublets:
+        if radii[i] != radii[j]:
+            raise StructureInconsistency(f"doublet ({i},{j}) with unequal radii")
+    return (), doublets
+
+
+def _assert_cluster_invariants(model, clusters, label, cycles, doublets, radii) -> None:
+    """Raise on the first cluster, in order, that breaks an invariant.
+
+    Every member of a cycle or doublet lies in one cluster, so a cluster's
+    closing structures are counted by their first members.
+    """
     closers = cycles if model == 1 else doublets
-    for k, group in enumerate(closers):
-        for member in group:
-            closer_of[member] = k
-    for cluster in clusters:
-        finite = [i for i in cluster if math.isfinite(radii[i])]
-        infinite = [i for i in cluster if not math.isfinite(radii[i])]
-        inside = {closer_of[i] for i in finite if i in closer_of}
-        if not infinite and finite:
-            if len(inside) != 1:
-                raise StructureInconsistency(
-                    f"all-finite cluster {cluster} holds {len(inside)} cycles/doublets"
-                )
-        else:
-            if inside:
-                raise StructureInconsistency(
-                    f"cluster {cluster} holds an infinite segment and a closing structure"
-                )
-        if model == 1 and len(infinite) > 1:
-            raise StructureInconsistency(f"cluster {cluster} holds {len(infinite)} infinite segments")
-        if model == 2 and infinite and len(cluster) > 1:
-            raise StructureInconsistency(
-                f"Model 2 infinite segment in non-singleton cluster {cluster}"
-            )
+    size = np.bincount(label, minlength=len(clusters))
+    infinite = np.bincount(label[~np.isfinite(radii)], minlength=len(clusters))
+    inside = np.bincount(label[[group[0] for group in closers]], minlength=len(clusters))
+    all_finite = infinite == 0
+    broken = np.where(all_finite, inside != 1, inside > 0)
+    broken |= (infinite > 1) if model == 1 else ((infinite > 0) & (size > 1))
+    for k in np.flatnonzero(broken)[:1].tolist():
+        cluster = clusters[k]
+        if all_finite[k]:
+            raise StructureInconsistency(f"all-finite cluster {cluster} holds {inside[k]} cycles/doublets")
+        if inside[k]:
+            raise StructureInconsistency(f"cluster {cluster} holds an infinite segment and a closing structure")
+        if model == 1:
+            raise StructureInconsistency(f"cluster {cluster} holds {infinite[k]} infinite segments")
+        raise StructureInconsistency(f"Model 2 infinite segment in non-singleton cluster {cluster}")
 
 
 @dataclass(frozen=True)
