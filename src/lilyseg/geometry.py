@@ -14,7 +14,9 @@ which ``stop_matches`` and ``cover`` are views.  Every pair of the table
 is computed from the coordinates: a cell grid builds each germ's near list
 of closest stops from the germs around it, in O(n) pairs on a spread-out
 set, and the kernels fall back to rows recomputed on demand where the list
-cannot certify its answer.  The one n x n array is the distance matrix
+cannot certify its answer.  Model 2's first operator step also needs the
+germs lying exactly on another germ's carrier; carrier strips find them
+from O(n^1.5) candidate pairs.  The one n x n array is the distance matrix
 ``PairTable.d``, built on first use for the oracle solvers in
 :mod:`lilyseg.solver` and the tests.
 
@@ -58,10 +60,10 @@ CONTACT_TOL = 1e-9
 _PAIR_BYTES = 54
 
 # Ordered pairs per block when pairs of the table are computed (the near
-# list's grid cells and the whole rows of the full screen and of the
-# kernels' fallback).  Each pass allocates one workspace, about 1.7 MiB at
-# this size, and reuses it for every block: fresh temporaries per block cost
-# page faults.
+# list's grid cells, its kept pairs, the whole rows of the full screen and of
+# the kernels' fallback, and the candidates of the zero test).  Each pass
+# allocates one workspace, about 1.7 MiB at this size, and reuses it for
+# every block: fresh temporaries per block cost page faults.
 _BLOCK_PAIRS = 1 << 15
 
 # Pairs each germ keeps in the near list (see PairTable).
@@ -70,6 +72,10 @@ _NEAR = 32
 # Germs per cell, on average, of the grid that builds the near list (see
 # PairTable._grid_rows).
 _CELL_GERMS = 25
+
+# Width of the carrier strips of the Model-2 zero test, in mean germ spacings
+# of a square window: about sqrt(n) / 3 strips (see PairTable._on_carrier).
+_STRIP_SPACINGS = 3
 
 
 def fold_direction(angle: float) -> float:
@@ -302,12 +308,9 @@ def _workspace(pairs: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _first(m: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per row of ``m``, the columns of its first ``width`` entries in (value,
-    column) order, and the next value (``inf`` when there is none)."""
-    b, k = m.shape
-    r = np.arange(b)[:, None]
-    if width >= k:
-        return np.argsort(m, axis=1, kind="stable"), np.full(b, np.inf)
+    """Per row of ``m``, which has more than ``width`` columns, the columns of
+    its first ``width`` entries in (value, column) order, and the next value."""
+    r = np.arange(len(m))[:, None]
     part = np.argpartition(m, width, axis=1)
     kth = m[r[:, 0], part[:, width]]
     part = np.sort(part[:, :width], axis=1)  # column order, which the stable sort keeps on ties
@@ -320,15 +323,18 @@ def _first(m: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
     return first, kth
 
 
-def _keep(near: list, slab: _Slab, a: np.ndarray, first: np.ndarray, kth: np.ndarray) -> None:
-    """Write rows ``a`` of ``slab``, their pairs ``first`` and bounds ``kth``,
-    into ``near``, the list's arrays in :class:`NearList` order up to ``bound``."""
-    rows, sel = slab.rows[a], first[a]
-    r = a[:, None]
-    *pairs, bound = near
-    for out, values in zip(pairs, slab[1:]):
-        out[rows] = values[r, sel]
-    bound[rows] = kth[a]
+def _spans(starts: np.ndarray, counts: np.ndarray, limit: int):
+    """Positions ``starts[q] + k``, ``0 <= k < counts[q]``, of the queries
+    ``q``, in chunks of about ``limit`` positions (one query at least); yields
+    each chunk's queries and positions."""
+    total = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(total, total[lo] - counts[lo] + limit, side="right")))
+        c = counts[lo:hi]
+        q = np.repeat(np.arange(lo, hi), c)
+        yield q, np.arange(len(q)) + np.repeat(starts[lo:hi] - (np.cumsum(c) - c), c)
+        lo = hi
 
 
 class PairTable:
@@ -347,12 +353,15 @@ class PairTable:
     row is ever read from a stored matrix.  The near list comes from a cell
     grid: each germ's row is computed against the germs of the cells about
     its own, and rows the grid cannot certify are computed whole (see
-    :meth:`_grid_rows`).  Collinear pairs are found from the sorted
-    directions.  The full genericity screen sweeps every row (see
-    :mod:`lilyseg.pointprocess`); the fixed-point solve's screen reads the
-    list and the rows the operator recomputes whole.  Pairs are parallel by
-    the fixed ``PARALLEL_TOL``, as in :func:`pair_geometry`.  A point set
-    keeps its table (see :func:`shared_pair_table`).
+    :meth:`_grid_rows`); pairs are selected on ``m`` alone, and the list's
+    distances and kinds are computed once, for the kept pairs.  Collinear
+    pairs are found from the sorted directions, and the germs lying exactly
+    on another's carrier (:attr:`_on_carrier`) from carrier strips.  The
+    full genericity screen sweeps every row (see :mod:`lilyseg.pointprocess`);
+    the fixed-point solve's screen reads the list and the rows the operator
+    recomputes whole.  Pairs are parallel by the fixed ``PARALLEL_TOL``, as
+    in :func:`pair_geometry`.  A point set keeps its table (see
+    :func:`shared_pair_table`).
 
     The pair kernels (``operator``, ``admissible`` and ``answer_pass``)
     read the near list: for each row ``i`` the first ``_NEAR``
@@ -381,25 +390,37 @@ class PairTable:
         self.radius = np.hypot(self.x, self.y)
         self._condition_reports: dict = {}
 
-    def _block(self, r: np.ndarray, ws: Tuple[np.ndarray, np.ndarray], c: Optional[np.ndarray] = None) -> _Slab:
-        """Rows ``r`` against the ascending columns ``c`` (every column by
-        default), computed into the workspace ``ws``; ``c`` holds ``r``."""
+    def _start(self, r: np.ndarray, ws: Tuple[np.ndarray, np.ndarray], c: Optional[np.ndarray]):
+        """The start of :meth:`_block` and :meth:`_m_block` on rows ``r``.
+
+        The columns are every column (``c`` is ``None``), one ascending set
+        holding ``r``, or one set per row (``c`` of shape ``(len(r), k)``).
+        Returns the columns broadcast to the block, the block's diagonal, the
+        columns' directions, and the six float arrays of the workspace ``ws``
+        in the block's shape, the first three filled with ``wx, wy = g_j -
+        g_i`` and ``denom = ux_i uy_j - uy_i ux_j``.
+        """
         b = len(r)
         x, y, ux, uy = self.x, self.y, self.ux, self.uy
         if c is None:
             c, diag = np.arange(self.n), (np.arange(b), r)
         else:
             x, y, ux, uy = x[c], y[c], ux[c], uy[c]
-            diag = (np.arange(b), np.searchsorted(c, r))
-        shape = (b, len(c))
-        size = b * len(c)
-        wx, wy, denom, t, d, dT = ws[0][:6 * size].reshape(6, *shape)
-        parallel, transversal, collinear = ws[1][:3 * size].reshape(3, *shape)
-        uxr, uyr = self.ux[r, None], self.uy[r, None]
+            diag = (np.arange(b), np.searchsorted(c, r)) if c.ndim == 1 else np.nonzero(c == r[:, None])
+        shape = (b, c.shape[-1])
+        wx, wy, denom, t, *rest = ws[0][:6 * b * shape[1]].reshape(6, *shape)
         np.subtract(x, self.x[r, None], out=wx)
         np.subtract(y, self.y[r, None], out=wy)
-        np.multiply(uxr, uy, out=denom)
-        np.subtract(denom, np.multiply(uyr, ux, out=t), out=denom)
+        np.multiply(self.ux[r, None], uy, out=denom)
+        np.subtract(denom, np.multiply(self.uy[r, None], ux, out=t), out=denom)
+        return np.broadcast_to(c, shape), diag, ux, uy, (wx, wy, denom, t, *rest)
+
+    def _block(self, r: np.ndarray, ws: Tuple[np.ndarray, np.ndarray], c: Optional[np.ndarray] = None) -> _Slab:
+        """Rows ``r`` against the columns ``c`` (every column by default, see
+        :meth:`_start`), computed into the workspace ``ws``."""
+        cols, diag, ux, uy, (wx, wy, denom, t, d, dT) = self._start(r, ws, c)
+        parallel, transversal, collinear = ws[1][:3 * cols.size].reshape(3, *cols.shape)
+        uxr, uyr = self.ux[r, None], self.uy[r, None]
         # d[i, j] = |(wx uy_j - wy ux_j) / denom|.  The swapped pair negates
         # wx, wy and denom exactly, so d[j, i] = |(wx uy_i - wy ux_i) / denom|
         # bit for bit.  Quotients for parallel pairs (tiny denominators) are
@@ -420,11 +441,40 @@ class PairTable:
             pi, pj = np.nonzero(parallel)
             d[pi, pj] = dT[pi, pj] = np.inf
             pwx, pwy = wx[pi, pj], wy[pi, pj]
-            hit = self._collinear(r[pi], c[pj], pwx, pwy)
+            hit = self._collinear(r[pi], cols[pi, pj], pwx, pwy)
             pi, pj = pi[hit], pj[hit]
             d[pi, pj] = dT[pi, pj] = 0.5 * np.hypot(pwx[hit], pwy[hit])
             collinear[pi, pj] = True
-        return _Slab(r, np.broadcast_to(c, shape), d, dT, transversal, collinear)
+        return _Slab(r, cols, d, dT, transversal, collinear)
+
+    def _m_block(self, r: np.ndarray, ws: Tuple[np.ndarray, np.ndarray], c: Optional[np.ndarray] = None) -> np.ndarray:
+        """The later-arrival times ``m[i, j] = max(d[i, j], d[j, i])`` of rows
+        ``r`` against the columns ``c`` (as in :meth:`_block`), computed into
+        the workspace ``ws``.
+
+        Selects the near list at one division a pair and no pair kinds: both
+        distances of a pair share the denominator, and correctly rounded
+        division is monotone, so ``fl(max(|num_ij|, |num_ji|) / |denom|)`` is
+        the ``max(d, dT)`` of :meth:`_block` bit for bit.
+        """
+        cols, diag, ux, uy, (wx, wy, denom, t, m, s) = self._start(r, ws, c)
+        parallel = ws[1][:cols.size].reshape(cols.shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for out, ua, ub in ((m, uy, ux), (s, self.uy[r, None], self.ux[r, None])):
+                np.multiply(wx, ua, out=out)
+                np.subtract(out, np.multiply(wy, ub, out=t), out=out)
+                np.abs(out, out=out)
+            np.maximum(m, s, out=m)
+            np.divide(m, np.abs(denom, out=denom), out=m)
+        np.less(denom, PARALLEL_TOL, out=parallel)
+        parallel[diag] = False
+        m[diag] = np.inf
+        if parallel.any():
+            pi, pj = np.nonzero(parallel)
+            pwx, pwy = wx[pi, pj], wy[pi, pj]
+            hit = self._collinear(r[pi], cols[pi, pj], pwx, pwy)
+            m[pi, pj] = np.where(hit, 0.5 * np.hypot(pwx, pwy), np.inf)
+        return m
 
     def _collinear(self, i: np.ndarray, j: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
         """Which parallel pairs ``(i, j)``, with ``(wx, wy) = g_j - g_i``, are
@@ -451,20 +501,43 @@ class PairTable:
 
     @cached_property
     def near(self) -> NearList:
-        """The near list, shared by both models; built on first use."""
-        n = self.n
-        # Up to two list widths, the whole row is the list: no kernel then
-        # recomputes a row.
-        width = n if n <= 2 * _NEAR else _NEAR
-        near = [np.empty((n, width), dtype=np.intp), np.empty((n, width)), np.empty((n, width)),
-                np.empty((n, width), dtype=bool), np.empty((n, width), dtype=bool), np.full(n, np.inf)]
-        whole = np.arange(n) if width == n else self._grid_rows(width, near)
-        for slab in self._row_blocks(whole):
-            _keep(near, slab, np.arange(len(slab.rows)), *_first(np.maximum(slab.d, slab.dT), width))
-        return NearList(*near, self._collinear_pairs())
+        """The near list, shared by both models; built on first use.
 
-    def _grid_rows(self, width: int, near: list) -> np.ndarray:
-        """Fill the near list from a cell grid; return the rows it leaves to whole rows.
+        Each row's pairs are selected on ``m`` alone (:meth:`_m_block`); the
+        list's ``d``, ``dT`` and kinds are then computed once, for the kept
+        pairs only, by :meth:`_block`.  Up to two list widths, the whole row
+        is the list, read off one block in (m, j) order: no kernel then
+        recomputes a row.
+        """
+        n = self.n
+        bound = np.full(n, np.inf)
+        if n <= 2 * _NEAR:
+            slab = self._block(np.arange(n), _workspace(n * n))
+            j = np.argsort(np.maximum(slab.d, slab.dT), axis=1, kind="stable")
+            pairs = (np.take_along_axis(values, j, axis=1) for values in slab[2:])
+            return NearList(j, *pairs, bound, self._collinear_pairs())
+        width = _NEAR
+        j = np.empty((n, width), dtype=np.intp)
+        ws = _workspace(max(_BLOCK_PAIRS, n))
+        whole = self._grid_rows(width, j, bound, ws)
+        step = max(1, _BLOCK_PAIRS // n)
+        for lo in range(0, len(whole), step):
+            rows = whole[lo:lo + step]
+            j[rows], bound[rows] = _first(self._m_block(rows, ws), width)
+        pairs = [np.empty((n, width)), np.empty((n, width)),
+                 np.empty((n, width), dtype=bool), np.empty((n, width), dtype=bool)]
+        # A quarter block of kept pairs at a time: their columns' coordinates
+        # and directions are gathered into four more arrays.
+        step = max(1, _BLOCK_PAIRS // (4 * max(width, 1)))
+        for lo in range(0, n, step):
+            slab = self._block(np.arange(lo, min(lo + step, n)), ws, j[lo:lo + step])
+            for out, values in zip(pairs, slab[2:]):
+                out[lo:lo + step] = values
+        return NearList(j, *pairs, bound, self._collinear_pairs())
+
+    def _grid_rows(self, width: int, j: np.ndarray, bound: np.ndarray, ws) -> np.ndarray:
+        """Fill the near list's ``j`` and ``bound`` from a cell grid, computing
+        in the workspace ``ws``; return the rows it leaves to whole rows.
 
         Cells are squares holding about ``_CELL_GERMS`` germs: 5 mean
         spacings wide over an area, as many germs along a line.  Each germ's
@@ -505,7 +578,6 @@ class PairTable:
         lo = np.searchsorted(key, col * ny + np.maximum(ky - 2, 0)[:, None])
         hi = np.searchsorted(key, col * ny + np.minimum(ky + 2, ny - 1)[:, None], side="right")
         hi = np.where((col >= 0) & (col < nx), hi, lo)
-        ws = _workspace(max(_BLOCK_PAIRS, n))
         whole = []
         for cell in range(len(cells)):
             rows = order[starts[cell]:ends[cell]]
@@ -515,11 +587,11 @@ class PairTable:
                 continue
             step = max(1, _BLOCK_PAIRS // len(c))
             for k in range(0, len(rows), step):
-                slab = self._block(rows[k:k + step], ws, c)
-                first, kth = _first(np.maximum(slab.d, slab.dT), width)
-                sure = np.isinf(edge[slab.rows]) | (kth < reach[slab.rows])
-                _keep(near, slab, np.nonzero(sure)[0], first, kth)
-                whole.append(slab.rows[~sure])
+                r = rows[k:k + step]
+                first, kth = _first(self._m_block(r, ws, c), width)
+                sure = np.isinf(edge[r]) | (kth < reach[r])
+                j[r[sure]], bound[r[sure]] = c[first[sure]], kth[sure]
+                whole.append(r[~sure])
         return np.sort(np.concatenate(whole))
 
     def _collinear_pairs(self) -> np.ndarray:
@@ -537,21 +609,14 @@ class PairTable:
         at = np.arange(n)
         ends = np.searchsorted(np.concatenate((t, t + math.pi)), t + 2 * PARALLEL_TOL, side="right")
         span = np.minimum(ends, at + n) - at - 1  # partners after each position
-        total = np.cumsum(span)
         found = [np.empty((0, 2), dtype=np.intp)]
-        lo = 0
-        while lo < n:
-            # Positions whose partners fill about one block.
-            hi = max(lo + 1, int(np.searchsorted(total, total[lo] - span[lo] + max(_BLOCK_PAIRS, n), side="right")))
-            s = span[lo:hi]
-            a = np.repeat(at[lo:hi], s)
-            b = (a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(s) - s, s)) % n
-            i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+        for a, b in _spans(at + 1, span, max(_BLOCK_PAIRS, n)):
+            a, b = order[a], order[b % n]
+            i, j = np.minimum(a, b), np.maximum(a, b)
             parallel = np.abs(self.ux[i] * self.uy[j] - self.uy[i] * self.ux[j]) < PARALLEL_TOL
             i, j = i[parallel], j[parallel]
             hit = self._collinear(i, j, self.x[j] - self.x[i], self.y[j] - self.y[i])
             found.append(np.column_stack((i[hit], j[hit])))
-            lo = hi
         pairs = np.concatenate(found)
         return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
 
@@ -560,27 +625,88 @@ class PairTable:
         """Rows ``i`` with ``d[j, i] == 0`` for some ``j``: germ j lies exactly on i's carrier.
 
         d[j, i] is zero exactly when its numerator is, ``fl(wx * uy_i) ==
-        fl(wy * ux_i)`` with ``(wx, wy) = g_j - g_i``, so a stream over all
-        pairs finds the candidates; their rows are computed whole to confirm,
-        because a parallel pair has a zero numerator but is not a zero.
+        fl(wy * ux_i)`` with ``(wx, wy) = g_j - g_i`` (:meth:`_on_line`); the
+        rows of the pairs that pass are computed whole to confirm, because a
+        parallel pair has a zero numerator but is not a zero.
+
+        The pairs tested come from carrier strips (:meth:`_strip_pairs`):
+        a flat carrier (|ux| >= |uy|) against the germs of each strip across x
+        whose y lies within the carrier's span over the strip, a steep one
+        likewise with x and y swapped, each span widened by ``margin``.  The
+        margin holds every pair the exact test passes.  Equal products, each
+        rounded once from a rounded difference, put g_j within about two ulps
+        of |wx| + |wy| of i's carrier, so within sqrt(2) times that along y
+        of a flat carrier (|ux| >= 1/sqrt(2)).  The strip edges, each germ's
+        strip and the spans over the strips are rounded by a few ulps of the
+        coordinates.  Both are far below 1e-12 of max|x| + max|y| plus the
+        two spans.
         """
-        n = self.n
-        step = max(1, _BLOCK_PAIRS // n)
-        p, q = np.empty((step, n)), np.empty((step, n))
-        equal = np.empty((step, n), dtype=bool)
-        candidate = np.empty(n, dtype=bool)
-        for lo in range(0, n, step):
-            r = slice(lo, min(lo + step, n))
-            b = r.stop - lo
-            np.multiply(np.subtract(self.x, self.x[r, None], out=p[:b]), self.uy[r, None], out=p[:b])
-            np.multiply(np.subtract(self.y, self.y[r, None], out=q[:b]), self.ux[r, None], out=q[:b])
-            np.equal(p[:b], q[:b], out=equal[:b])
-            equal[np.arange(b), np.arange(lo, lo + b)] = False
-            np.any(equal[:b], axis=1, out=candidate[r])
+        n, x, y, ux, uy = self.n, self.x, self.y, self.ux, self.uy
+        candidate = np.zeros(n, dtype=bool)
+        if n < 2:
+            return candidate
+        with np.errstate(over="ignore"):
+            margin = 1e-12 * (np.abs(x).max() + np.abs(y).max() + np.ptp(x) + np.ptp(y))
+        flat = np.abs(ux) >= np.abs(uy)
+        for rows, across, along, rise, run in ((flat, x, y, uy, ux), (~flat, y, x, ux, uy)):
+            rows = np.nonzero(rows)[0]
+            for i, j in self._strip_pairs(rows, across, along, rise[rows] / run[rows], margin):
+                candidate[i[self._on_line(i, j)]] = True
         on = np.zeros(n, dtype=bool)
         for slab in self._row_blocks(np.nonzero(candidate)[0]):
             on[slab.rows] = (slab.dT == 0).any(axis=1)
         return on
+
+    def _strip_pairs(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray, slope: np.ndarray, margin: float):
+        """Pairs ``(i, j)``, in chunks of about ``_BLOCK_PAIRS``: for each row
+        ``i`` the germs ``j`` of every strip across ``a`` whose ``b`` lies within
+        ``margin`` of the span of i's carrier ``b_i + (a - a_i) * slope_i`` over
+        the strip (|slope| <= 1), and a few germs beside them.
+
+        Each strip is cut along ``b`` into bins of about a quarter germ, and
+        the germs are sorted once by strip and bin.  A span's candidates are
+        the germs of the bins its ends fall in and of those between, read off
+        the bins' cumulative counts.  The bin of a value is monotone in it,
+        so a germ within a span lies in one of those bins.  A set whose
+        coordinates pass the float range (``margin`` is ``inf``) pairs every
+        row with every germ.
+        """
+        n = self.n
+        limit = max(_BLOCK_PAIRS, n)
+        if not math.isfinite(margin):
+            for q, j in _spans(np.zeros(len(rows), dtype=np.intp), np.full(len(rows), n), limit):
+                yield rows[q], j
+            return
+        a0, b0 = a.min(), b.min()
+        wa, wb = a.max() - a0, b.max() - b0
+        count = max(1, int(math.sqrt(n) / _STRIP_SPACINGS)) if wa > 0 else 1
+        bins = 4 * n // count + 1
+        width, height = wa / count, (wb if wb > 0 else 1.0) / bins
+
+        def cell(v):
+            return np.clip(np.floor((v - b0) / height), 0, bins - 1).astype(np.intp)
+
+        strip = np.minimum(np.floor((a - a0) / width), count - 1).astype(np.intp) if count > 1 else 0
+        key = strip * bins + cell(b)
+        order = np.argsort(key, kind="stable")
+        ends = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=count * bins))))
+        edges = a0 + width * np.arange(count + 1)
+        offset = bins * np.arange(count)
+        # A quarter block of (row, strip) spans at a time: each span takes
+        # several temporaries, and its pairs are expanded in blocks.
+        step = max(1, _BLOCK_PAIRS // (4 * count))
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            at = b[r, None] + (edges - a[r, None]) * slope[lo:lo + step, None]
+            first = ends[cell(np.minimum(at[:, :-1], at[:, 1:]) - margin) + offset].ravel()
+            last = ends[cell(np.maximum(at[:, :-1], at[:, 1:]) + margin) + offset + 1].ravel()
+            for q, p in _spans(first, last - first, limit):
+                yield r[q // count], order[p]
+
+    def _on_line(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Which pairs ``(i, j)``, ``i != j``, have a zero numerator of
+        ``d[j, i]``: ``fl(wx * uy_i) == fl(wy * ux_i)``, ``(wx, wy) = g_j - g_i``."""
+        return ((self.x[j] - self.x[i]) * self.uy[i] == (self.y[j] - self.y[i]) * self.ux[i]) & (i != j)
 
     @cached_property
     def d(self) -> np.ndarray:

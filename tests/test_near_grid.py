@@ -82,8 +82,8 @@ def test_grid_certifies_most_rows_of_a_window():
     whole = []
     grid_rows = PairTable._grid_rows
 
-    def recorded(self, width, near):
-        whole.append(grid_rows(self, width, near))
+    def recorded(self, *args):
+        whole.append(grid_rows(self, *args))
         return whole[-1]
 
     with mock.patch.object(PairTable, "_grid_rows", recorded):
@@ -114,20 +114,26 @@ def test_germ_on_a_far_carrier():
 def test_production_solve_computes_few_pairs(side, share):
     # The all-pairs sweep that built the list computed n^2 pairs alone.  The
     # 5 x 5 cells about a germ cover about a quarter of a 45 x 45 window, and
-    # a seventeenth of a 100 x 100 one.  The Model-2 zero test streams over
-    # every pair; it is left out.
+    # a seventeenth of a 100 x 100 one.  Every path that computes pairs is
+    # counted: the list's selection on m, the row blocks, and the pairs the
+    # Model-2 zero test tries from its carrier strips.
     mps = sample_poisson(1.0, Rectangle.square(side), seed=1)
     n = len(mps)
-    table = shared_pair_table(mps)
-    table._on_carrier
     pairs = []
-    block = PairTable._block
 
-    def counted(self, r, ws, c=None):
-        pairs.append(len(r) * (self.n if c is None else len(c)))
-        return block(self, r, ws, c)
+    def counted(kernel, size):
+        def wrapper(self, *args, **kwargs):
+            pairs.append(size(self, *args))
+            return kernel(self, *args, **kwargs)
+        return wrapper
 
-    with mock.patch.object(PairTable, "_block", counted):
+    def rows_by_columns(self, r, ws, c=None):
+        return len(r) * (self.n if c is None else c.shape[-1])
+
+    with mock.patch.object(PairTable, "_block", counted(PairTable._block, rows_by_columns)), \
+            mock.patch.object(PairTable, "_m_block", counted(PairTable._m_block, rows_by_columns)), \
+            mock.patch.object(PairTable, "_on_line", counted(PairTable._on_line, lambda self, i, j: len(i))):
         for model in (1, 2):
             analyze(solve_fixed_point(mps, model))
+    assert "_on_carrier" in vars(shared_pair_table(mps))
     assert 0 < sum(pairs) < share * n * n

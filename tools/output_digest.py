@@ -2,6 +2,7 @@
 
     python3 tools/output_digest.py [--seeds 1000] [--expect HEX]
     python3 tools/output_digest.py --pinned [--expect HEX]
+    python3 tools/output_digest.py --window 45 [--seeds 10] [--expect HEX]
 
 For every seed s below ``--seeds``, the set ``sample_poisson(1.0,
 Rectangle.square(15.0), s)`` is solved under both models, and ``repr()``
@@ -18,6 +19,14 @@ of the following goes into the digest, in this order:
 With ``--pinned`` the digest is instead over the bytes of the pinned-origin
 batch ``pinned_origin_radii(1, 1.0, 41, 10_000)`` (Model 1, 41 neighbours,
 seeds 0-9999), which samples through ``sample_pinned``.
+
+With ``--window SIDE`` the digest is instead over the sets
+``sample_poisson(1.0, Rectangle.square(SIDE), s)`` for s below ``--seeds``
+(10 by default): sets of about SIDE**2 germs, whose near lists come from the
+cell grid and whose Model-2 solves run the zero test on every row.  For
+each model, ``repr()`` of the radii, method and iteration count of
+``solve_fixed_point``, then of ``stopping_map`` and ``analyze`` of that
+solution, goes into the digest.
 
 Two source trees produce the same outputs on these inputs exactly when
 they print the same digest.  With ``--expect HEX`` the script exits 1 when
@@ -83,10 +92,22 @@ def seed_records(seed: int):
             yield repr(verify_gmhs(mps, radii, model))
 
 
+def window_records(seed: int, side: float):
+    """The ``repr`` strings of one window's fixed-point outputs, in digest order."""
+    mps = sample_poisson(1.0, Rectangle.square(side), seed)
+    for model in (1, 2):
+        fixed = solve_fixed_point(mps, model)
+        yield repr((fixed.radii, fixed.method, fixed.iterations))
+        yield repr(stopping_map(fixed))
+        yield repr(analyze(fixed))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, default=1000, help="digest seeds 0 .. SEEDS-1")
-    ap.add_argument("--pinned", action="store_true", help="digest the pinned-origin batch instead")
+    ap.add_argument("--seeds", type=int, help="digest seeds 0 .. SEEDS-1 (default 1000, or 10 with --window)")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--pinned", action="store_true", help="digest the pinned-origin batch instead")
+    mode.add_argument("--window", type=float, metavar="SIDE", help="digest fixed-point solves of SIDE x SIDE windows instead")
     ap.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest equals HEX")
     args = ap.parse_args(argv)
     digest = hashlib.sha256()
@@ -94,11 +115,14 @@ def main(argv=None) -> int:
         digest.update(pinned_origin_radii(*PINNED).tobytes())
         print(f"pinned_origin_radii{PINNED}: {digest.hexdigest()}")
     else:
-        for seed in range(args.seeds):
-            for record in seed_records(seed):
+        seeds = args.seeds if args.seeds is not None else 1000 if args.window is None else 10
+        for seed in range(seeds):
+            records = seed_records(seed) if args.window is None else window_records(seed, args.window)
+            for record in records:
                 digest.update(record.encode())
                 digest.update(b"\n")
-        print(f"seeds 0-{args.seeds - 1}: {digest.hexdigest()}")
+        where = "" if args.window is None else f"window {args.window:g}, "
+        print(f"{where}seeds 0-{seeds - 1}: {digest.hexdigest()}")
     if args.expect is not None and digest.hexdigest() != args.expect.lower():
         print(f"output_digest.py: expected {args.expect}", file=sys.stderr)
         return 1
