@@ -9,14 +9,16 @@ realizes segments from solved radii, and holds the scalar contact
 predicates along with the :class:`PairTable` pair kernels that the solvers,
 the verifier and the structure analysis call: ``operator`` and
 ``admissible`` (the stopping rule), and ``answer_pass``, one traversal at
-an answer for the explained stops and the all-pairs contact tests, of
-which ``stop_matches`` and ``cover`` are views.  Every pair of the table
-is computed from the coordinates: a cell grid builds each germ's near list
-of closest stops from the germs around it, in O(n) pairs on a spread-out
-set, and the kernels fall back to rows recomputed on demand where the list
-cannot certify its answer.  Model 2's first operator step also needs the
-germs lying exactly on another germ's carrier; carrier strips find them
-from O(n^1.5) candidate pairs.  The one n x n array is the distance matrix
+an answer for the explained stops and the all-pairs contact tests.  A
+pair's kind is read off its distances: a pair of finite ``d`` is collinear
+or transversal, and the table marks the collinear ones.  Every pair of the
+table is computed from the coordinates, each at most ``COORDINATE_LIMIT``
+in absolute value: a cell grid builds each germ's near list of closest
+stops from the germs around it, in O(n) pairs on a spread-out set, and
+the kernels fall back to rows recomputed on demand where the list cannot
+certify its answer.  Model 2's first operator step also needs the germs
+lying exactly on another germ's carrier; carrier strips find them from
+O(n^1.5) candidate pairs.  The one n x n array is the distance matrix
 ``PairTable.d``, built on first use for the oracle solvers in
 :mod:`lilyseg.solver` and the tests.
 
@@ -51,6 +53,11 @@ PARALLEL_TOL = 1e-12
 #: Default relative tolerance for contact predicates.
 CONTACT_TOL = 1e-9
 
+#: Largest |x| or |y| a :class:`PairTable` accepts.  Below it every span,
+#: the cell grid's ``_CELL_GERMS * w * h`` and every growth distance (at
+#: most about ``4 * COORDINATE_LIMIT / PARALLEL_TOL``) stay finite.
+COORDINATE_LIMIT = 1e150
+
 # Peak bytes per ordered germ pair of the oracles, which alone build the
 # dense d (tracemalloc, a fresh set sampled on 30x30 and 45x45 windows,
 # seed 1, table build and full screen included): the chain solver 33, the
@@ -62,7 +69,7 @@ _PAIR_BYTES = 54
 # Ordered pairs per block when pairs of the table are computed (the near
 # list's grid cells, its kept pairs, the whole rows of the full screen and of
 # the kernels' fallback, and the candidates of the zero test).  Each pass
-# allocates one workspace, about 1.7 MiB at this size, and reuses it for
+# allocates one workspace, about 1.6 MiB at this size, and reuses it for
 # every block: fresh temporaries per block cost page faults.
 _BLOCK_PAIRS = 1 << 15
 
@@ -273,20 +280,18 @@ class NearList(NamedTuple):
     j: np.ndarray  # (n, w) the first w partners of row i in (m[i, j], j) order, w = n if n <= 2 * _NEAR else _NEAR
     d: np.ndarray  # d[i, j] along the list
     dT: np.ndarray  # d[j, i] along the list
-    transversal: np.ndarray  # the table's pair kinds along the list
-    collinear: np.ndarray
+    collinear: np.ndarray  # which pairs along the list are collinear
     bound: np.ndarray  # smallest m[i, j] left out of row i, inf when none is
     collinear_pairs: np.ndarray  # (k, 2) every collinear pair (i, j), i < j, in row-major order
 
 
 class _Slab(NamedTuple):
-    """Pairs ``(rows[a], cols[a, b])`` with their ``d[i, j]``, ``d[j, i]`` and kinds."""
+    """Pairs ``(rows[a], cols[a, b])`` with their ``d[i, j]``, ``d[j, i]`` and collinear flags."""
 
     rows: np.ndarray
     cols: np.ndarray
     d: np.ndarray
     dT: np.ndarray
-    transversal: np.ndarray
     collinear: np.ndarray
 
 
@@ -304,7 +309,7 @@ class AnswerPass(NamedTuple):
 
 def _workspace(pairs: int) -> Tuple[np.ndarray, np.ndarray]:
     """Scratch space for :meth:`PairTable._block` on up to ``pairs`` pairs."""
-    return np.empty(6 * pairs), np.empty(3 * pairs, dtype=bool)
+    return np.empty(6 * pairs), np.empty(2 * pairs, dtype=bool)
 
 
 def _first(m: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -348,19 +353,23 @@ class PairTable:
     ``d_ab`` agree bitwise.
 
     The table stores O(n) state: the coordinates and the :attr:`near` list.
-    Rows ``d[i, :]`` and columns ``d[:, i]``, with the pair kinds, are
+    Rows ``d[i, :]`` and columns ``d[:, i]``, with the collinear pairs, are
     computed from the coordinates in blocks whenever they are needed; no
-    row is ever read from a stored matrix.  The near list comes from a cell
-    grid: each germ's row is computed against the germs of the cells about
-    its own, and rows the grid cannot certify are computed whole (see
+    row is ever read from a stored matrix.  A pair of finite ``d`` that is
+    not collinear is transversal; any other pair (a disjoint parallel, or
+    the diagonal) has ``d = inf``.  A coordinate past ``COORDINATE_LIMIT``
+    raises :class:`InvalidInput`.  The near list comes from a cell grid:
+    each germ's row is computed against the germs of the cells about its
+    own, and rows the grid cannot certify are computed whole (see
     :meth:`_grid_rows`); pairs are selected on ``m`` alone, and the list's
-    distances and kinds are computed once, for the kept pairs.  Collinear
-    pairs are found from the sorted directions, and the germs lying exactly
-    on another's carrier (:attr:`_on_carrier`) from carrier strips.  The
-    full genericity screen sweeps every row (see :mod:`lilyseg.pointprocess`);
-    the fixed-point solve's screen reads the list and the rows the operator
-    recomputes whole.  Pairs are parallel by the fixed ``PARALLEL_TOL``, as
-    in :func:`pair_geometry`.  A point set keeps its table (see
+    distances and collinear flags are computed once, for the kept pairs.
+    Collinear pairs are found from the sorted directions, and the germs
+    lying exactly on another's carrier (:attr:`_on_carrier`) from carrier
+    strips.  The full genericity screen sweeps every row (see
+    :mod:`lilyseg.pointprocess`); the fixed-point solve's screen of its
+    answer reads the list, and whole rows where the list cannot certify the
+    answer.  Pairs are parallel by the fixed ``PARALLEL_TOL``, as in
+    :func:`pair_geometry`.  A point set keeps its table (see
     :func:`shared_pair_table`).
 
     The pair kernels (``operator``, ``admissible`` and ``answer_pass``)
@@ -384,6 +393,8 @@ class PairTable:
         self.n = len(self.points)
         self.x = np.array([p.x for p in self.points], dtype=float)
         self.y = np.array([p.y for p in self.points], dtype=float)
+        if self.n and max(np.abs(self.x).max(), np.abs(self.y).max()) > COORDINATE_LIMIT:
+            raise InvalidInput(f"germ coordinates must lie within +-{COORDINATE_LIMIT:g}")
         self.theta = np.array([p.theta for p in self.points], dtype=float)
         self.ux = np.cos(self.theta)
         self.uy = np.sin(self.theta)
@@ -419,7 +430,7 @@ class PairTable:
         """Rows ``r`` against the columns ``c`` (every column by default, see
         :meth:`_start`), computed into the workspace ``ws``."""
         cols, diag, ux, uy, (wx, wy, denom, t, d, dT) = self._start(r, ws, c)
-        parallel, transversal, collinear = ws[1][:3 * cols.size].reshape(3, *cols.shape)
+        parallel, collinear = ws[1][:2 * cols.size].reshape(2, *cols.shape)
         uxr, uyr = self.ux[r, None], self.uy[r, None]
         # d[i, j] = |(wx uy_j - wy ux_j) / denom|.  The swapped pair negates
         # wx, wy and denom exactly, so d[j, i] = |(wx uy_i - wy ux_i) / denom|
@@ -433,8 +444,6 @@ class PairTable:
                 np.abs(out, out=out)
         np.less(np.abs(denom, out=t), PARALLEL_TOL, out=parallel)
         parallel[diag] = False
-        np.logical_not(parallel, out=transversal)
-        transversal[diag] = False
         d[diag] = dT[diag] = np.inf
         collinear.fill(False)
         if parallel.any():
@@ -445,7 +454,7 @@ class PairTable:
             pi, pj = pi[hit], pj[hit]
             d[pi, pj] = dT[pi, pj] = 0.5 * np.hypot(pwx[hit], pwy[hit])
             collinear[pi, pj] = True
-        return _Slab(r, cols, d, dT, transversal, collinear)
+        return _Slab(r, cols, d, dT, collinear)
 
     def _m_block(self, r: np.ndarray, ws: Tuple[np.ndarray, np.ndarray], c: Optional[np.ndarray] = None) -> np.ndarray:
         """The later-arrival times ``m[i, j] = max(d[i, j], d[j, i])`` of rows
@@ -504,10 +513,10 @@ class PairTable:
         """The near list, shared by both models; built on first use.
 
         Each row's pairs are selected on ``m`` alone (:meth:`_m_block`); the
-        list's ``d``, ``dT`` and kinds are then computed once, for the kept
-        pairs only, by :meth:`_block`.  Up to two list widths, the whole row
-        is the list, read off one block in (m, j) order: no kernel then
-        recomputes a row.
+        list's ``d``, ``dT`` and collinear flags are then computed once, for
+        the kept pairs only, by :meth:`_block`.  Up to two list widths, the
+        whole row is the list, read off one block in (m, j) order: no kernel
+        then recomputes a row.
         """
         n = self.n
         bound = np.full(n, np.inf)
@@ -524,8 +533,7 @@ class PairTable:
         for lo in range(0, len(whole), step):
             rows = whole[lo:lo + step]
             j[rows], bound[rows] = _first(self._m_block(rows, ws), width)
-        pairs = [np.empty((n, width)), np.empty((n, width)),
-                 np.empty((n, width), dtype=bool), np.empty((n, width), dtype=bool)]
+        pairs = [np.empty((n, width)), np.empty((n, width)), np.empty((n, width), dtype=bool)]
         # A quarter block of kept pairs at a time: their columns' coordinates
         # and directions are gathered into four more arrays.
         step = max(1, _BLOCK_PAIRS // (4 * max(width, 1)))
@@ -553,8 +561,8 @@ class PairTable:
         x0, y0 = x.min(), y.min()
         w, h = x.max() - x0, y.max() - y0
         side = max(math.sqrt(_CELL_GERMS * w * h / n), _CELL_GERMS * max(w, h) / n)
-        if not 0.0 < side < math.inf:  # all germs at one point, or a span past the float range
-            side, w, h = math.inf, 0.0, 0.0
+        if side == 0.0:  # all germs at one point
+            side = math.inf
         nx, ny = int(w // side) + 1, int(h // side) + 1
         with np.errstate(invalid="ignore"):
             cx = np.clip(np.floor((x - x0) / side), 0, nx - 1).astype(np.intp)
@@ -645,8 +653,7 @@ class PairTable:
         candidate = np.zeros(n, dtype=bool)
         if n < 2:
             return candidate
-        with np.errstate(over="ignore"):
-            margin = 1e-12 * (np.abs(x).max() + np.abs(y).max() + np.ptp(x) + np.ptp(y))
+        margin = 1e-12 * (np.abs(x).max() + np.abs(y).max() + np.ptp(x) + np.ptp(y))
         flat = np.abs(ux) >= np.abs(uy)
         for rows, across, along, rise, run in ((flat, x, y, uy, ux), (~flat, y, x, ux, uy)):
             rows = np.nonzero(rows)[0]
@@ -667,16 +674,10 @@ class PairTable:
         the germs are sorted once by strip and bin.  A span's candidates are
         the germs of the bins its ends fall in and of those between, read off
         the bins' cumulative counts.  The bin of a value is monotone in it,
-        so a germ within a span lies in one of those bins.  A set whose
-        coordinates pass the float range (``margin`` is ``inf``) pairs every
-        row with every germ.
+        so a germ within a span lies in one of those bins.
         """
         n = self.n
         limit = max(_BLOCK_PAIRS, n)
-        if not math.isfinite(margin):
-            for q, j in _spans(np.zeros(len(rows), dtype=np.intp), np.full(len(rows), n), limit):
-                yield rows[q], j
-            return
         a0, b0 = a.min(), b.min()
         wa, wb = a.max() - a0, b.max() - b0
         count = max(1, int(math.sqrt(n) / _STRIP_SPACINGS)) if wa > 0 else 1
@@ -747,7 +748,7 @@ class PairTable:
     def _near_slab(self, rows: Optional[np.ndarray] = None) -> _Slab:
         """The near list as a slab, restricted to ``rows`` when given."""
         near = self.near
-        pairs = (near.j, near.d, near.dT, near.transversal, near.collinear)
+        pairs = (near.j, near.d, near.dT, near.collinear)
         if rows is None:
             return _Slab(np.arange(self.n), *pairs)
         return _Slab(rows, *(a[rows] for a in pairs))
@@ -763,7 +764,7 @@ class PairTable:
         ``d[j, i]`` shrunk by the relative slack ``tol``.
         """
         _check_model(model)
-        _, cols, d, dT, _, _ = self._near_slab() if slab is None else slab
+        _, cols, d, dT, _ = self._near_slab() if slab is None else slab
         need = dT * (1.0 - tol)
         reach = radii[cols]
         if model == 1:
@@ -775,19 +776,11 @@ class PairTable:
 
         Entry ``i`` is the smallest admissible stop value of row ``i``
         (``inf`` when there is none), read off the near list where that is
-        exact and recomputed over the whole row elsewhere.
-        """
-        return self._operator(radii, model)
-
-    def _operator(self, radii: np.ndarray, model: int, screen=None) -> np.ndarray:
-        """:meth:`operator`, calling ``screen(slab, radii, out)`` on every block of
-        whole rows it computes and, once ``out`` is final, on the near list
-        over the rows the list answered.
-
-        A list answer up to ``bound`` is exact; a row answered past it is
-        recomputed whole, unless no radius is positive.  Then nothing left out
-        of a list is admissible, except in Model 2 on a row some germ lies
-        exactly on the carrier of (:attr:`_on_carrier`, found on first need).
+        exact and recomputed over the whole row elsewhere.  A list answer up
+        to ``bound`` is exact; a row answered past it is recomputed whole,
+        unless no radius is positive.  Then nothing left out of a list is
+        admissible, except in Model 2 on a row some germ lies exactly on the
+        carrier of (:attr:`_on_carrier`, found on first need).
         """
         near = self.near
         ok, values = self.admissible(radii, model)
@@ -806,11 +799,6 @@ class PairTable:
             for slab in self._row_blocks(np.nonzero(unsure)[0]):
                 ok, values = self.admissible(radii, model, slab=slab)
                 out[slab.rows] = _row_min(ok, values)
-                if screen is not None:
-                    screen(slab, radii, out)
-        if screen is not None:
-            listed = np.nonzero(~unsure)[0]
-            screen(self._near_slab(None if len(listed) == self.n else listed), radii, out)
         return out
 
     def answer_pass(self, radii: np.ndarray, model: Optional[int], tol: float) -> AnswerPass:
@@ -842,11 +830,13 @@ class PairTable:
         # The list over every row, its hits kept on the rows it certifies, then whole rows.
         whole = zip(self._row_blocks(np.nonzero(~listed)[0]), repeat(None))
         for slab, keep in chain([(self._near_slab(), listed)], whole):
-            rows, cols, d, dT, transversal, collinear = slab
+            rows, cols, d, dT, collinear = slab
             ri, rj = radii[rows, None], radii[cols]
             with np.errstate(invalid="ignore"):
                 # Infinite radii cover every finite distance, interior included.
-                hit = transversal & np.where(np.isinf(ri), np.isfinite(d), d <= ri * (1.0 + tol))
+                # Transversal pairs are those of finite d, collinear ones
+                # aside; d = inf must not pass where ri * (1 + tol) overflows.
+                hit = np.isfinite(d) & ~collinear & np.where(np.isinf(ri), np.isfinite(d), d <= ri * (1.0 + tol))
                 hit &= np.where(np.isinf(rj), np.isfinite(dT), dT <= rj * (1.0 + tol))
                 if collinear.any():
                     reach = ri + rj
@@ -859,7 +849,7 @@ class PairTable:
             # Interior contacts are touching ones, tested again strictly.
             ri, rj, d, dT = radii[i], radii[j], d[a, b], dT[a, b]
             with np.errstate(invalid="ignore"):
-                inside = transversal[a, b] & np.where(np.isinf(ri), np.isfinite(d), d < ri * (1.0 - tol))
+                inside = ~collinear[a, b] & np.where(np.isinf(ri), np.isfinite(d), d < ri * (1.0 - tol))
                 inside &= np.where(np.isinf(rj), np.isfinite(dT), dT < rj * (1.0 - tol))
                 reach = ri + rj
                 inside |= collinear[a, b] & (np.isinf(reach) | (d + dT < reach * (1.0 - tol)))
@@ -874,25 +864,6 @@ class PairTable:
                 stops.append(rows[a] * n + cols[a, b])
         stop_i, stop_j = np.divmod(np.sort(np.concatenate(stops)), n)
         return AnswerPass(stop_i, stop_j, np.unique(np.concatenate(strict)), np.unique(np.concatenate(touching)))
-
-    def stop_matches(self, radii: np.ndarray, model: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Explained stops: admissible ``(i, j)`` whose stop value is ``radii[i]`` within ``tol``.
-
-        Only rows with a finite radius are searched.  Returns the index
-        arrays ``i`` and ``j`` in row-major order (see :meth:`answer_pass`).
-        """
-        found = self.answer_pass(radii, model, tol)
-        return found.stop_i, found.stop_j
-
-    def cover(self, radii: np.ndarray, strict: bool, tol: float) -> List[Tuple[int, int]]:
-        """Pairs ``(i, j)``, ``i < j``, whose segments share a point.
-
-        The all-pairs form of :func:`relative_interiors_intersect`
-        (``strict``) or :func:`segments_touch`, in row-major order (see
-        :meth:`answer_pass`).
-        """
-        found = self.answer_pass(radii, None, tol)
-        return _key_pairs(found.strict if strict else found.touching, self.n)
 
 
 def _key_pairs(keys: np.ndarray, n: int) -> List[Tuple[int, int]]:

@@ -27,18 +27,18 @@ each of them clears the tie tolerance, exact arithmetic decides each the
 same way, so f* is the exact fixed point too, which is unique on a generic
 set; comparisons made at earlier iterates play no part.  So sampling
 (``sample_poisson``, ``sample_pinned``) draws and does not screen, and
-``solve_fixed_point`` iterates unscreened and then screens once, at its
-answer, in the operator application its verification makes anyway.  For
-each row that application screens the reach and candidacy comparisons
-over the pairs it read (the near list, or the whole row where it
-recomputes one), the answer against every distance of its germ among
-them, and, for a row the list answered, the answer against the list's
-``bound``.  Any collinear pair fails the set; the near-list build (see
-:class:`~lilyseg.geometry.PairTable`) records them all.  Ties are labelled
-as the full screen labels them, so every tie the solve reports is one the
-full screen reports, and a set the full screen passes solves exactly as
-it would unscreened.  A near tie that no comparison at the answer involves
-does not stop the solve; the set solves to a verified system.
+``solve_fixed_point`` iterates unscreened to T(f) == f, bit for bit, and
+then screens once, in a pass of its own (``_screen_answer``): each row
+over its near list or, where f lies past the list's ``bound`` or within a
+tie of it, over its whole row, as the operator reads it at f.  It checks
+the reach and candidacy comparisons over those pairs and the answer
+against every distance of its germ among them.  Any collinear pair fails
+the set; the near-list build (see :class:`~lilyseg.geometry.PairTable`)
+records them all.  Ties are labelled as the full screen labels them, so
+every tie the solve reports is one the full screen reports, and a set the
+full screen passes solves exactly as it would unscreened.  A near tie that
+no comparison at the answer involves does not stop the solve; the set
+solves to a verified system.
 ``check_condition_d``, ``require_condition_d``, ``ensure_condition_d``,
 ``apply_t1``, ``apply_t2`` and the chain and greedy oracles keep the full
 screen: every germ's ~2n distances, sorted.
@@ -54,8 +54,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -371,26 +370,34 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.abs(a - b) < TIE_TOL * np.maximum(np.maximum(a, b), 1.0)
 
 
-def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray, out: np.ndarray) -> None:
+def _screen_answer(table: PairTable, model: int, radii: np.ndarray) -> None:
     """Raise :class:`ConditionDViolation` on a near tie among the comparisons
-    the operator made over ``slab``, the near list or a block of whole rows,
-    given its answers ``out``, one per germ.
+    one operator application makes at the fixed point ``radii``: over the
+    whole row where the answer lies past the near list's ``bound`` or within
+    a tie of it (a stop the list leaves out is worth at least ``bound``),
+    over the list elsewhere."""
+    bound = table.near.bound
+    whole = (radii > bound) | _close(radii, bound)
+    for slab in table._row_blocks(np.nonzero(whole)[0]):
+        _screen_rows(table, model, slab, radii)
+    listed = np.nonzero(~whole)[0]
+    _screen_rows(table, model, table._near_slab(None if len(listed) == table.n else listed), radii)
+
+
+def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray) -> None:
+    """Raise :class:`ConditionDViolation` on a near tie among the comparisons
+    the operator makes over ``slab``, the near list or a block of whole rows,
+    at the fixed point ``radii``, which is also its answer.
 
     Row i compares, for each j in the slab, the reach ``radii[j]`` against
     d[j, i] (skipping j's own stop on i, an element against itself) and, in
     Model 1, d[i, j] against d[j, i]; its finite answer is checked against
     every distance of germ i the slab holds, which covers the uniqueness of
-    the row minimum and every later reach comparison against it.  The near
-    list certifies an answer up to ``bound[i]``, the ``m`` of a pair it
-    leaves out, so a row whose answer is within a tie of it is screened
-    again whole.  Ties are labelled by ``_exact_ties`` on the compared
-    distances alone, so each is one the full screen reports.
+    the row minimum and every later reach comparison against it.  Ties are
+    labelled by ``_exact_ties`` on the compared distances alone, so each is
+    one the full screen reports.
     """
     n = table.n
-    if slab.cols.shape[1] < n:
-        edge = _close(out[slab.rows], table.near.bound[slab.rows])
-        for whole in table._row_blocks(slab.rows[edge]):
-            _screen_rows(table, model, whole, radii, out)
     d, dT, collinear = slab.d, slab.dT, slab.collinear
     finite = np.isfinite(d)
     reach = radii[slab.cols]
@@ -399,7 +406,7 @@ def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray, out: np.
         live = candidate & (reach > 0) & np.isfinite(reach) & ~((reach == dT) & (dT >= d))
     reach_hit = live & _close(reach, dT)
     pair_hit = finite & ~collinear & _close(d, dT) if model == 1 else np.zeros_like(finite)
-    answer = out[slab.rows, None]
+    answer = radii[slab.rows, None]
     row_hit = finite & _close(d, answer)
     col_hit = finite & ~collinear & _close(dT, answer)
     crowded = row_hit.sum(axis=1) + col_hit.sum(axis=1) > 1  # the answer itself is one
@@ -444,14 +451,14 @@ def require_condition_d(point_set: MarkedPointSet) -> PairTable:
     return table
 
 
-def _fixed_point_screen(point_set: MarkedPointSet, model: int) -> Tuple[PairTable, partial]:
-    """The table of a set with no collinear pair, and the hook that screens
-    the comparisons of one operator application (see ``_screen_rows``)."""
+def _fixed_point_screen(point_set: MarkedPointSet) -> PairTable:
+    """The table of a set with no collinear pair (see ``_screen_answer`` for
+    the rest of the fixed-point solve's screen)."""
     table = shared_pair_table(point_set)
     pairs = table.near.collinear_pairs
     if len(pairs):
         raise ConditionDViolation(_report({}, pairs.tolist()))
-    return table, partial(_screen_rows, table, model)
+    return table
 
 
 def ensure_condition_d(point_set: MarkedPointSet, *, perturb: bool = False, seed: int = 0) -> MarkedPointSet:

@@ -67,6 +67,7 @@ from .pointprocess import (
     MarkedPointSet,
     _condition_d_from_table,
     _fixed_point_screen,
+    _screen_answer,
     realization_from_json,
     realization_to_json,
     require_condition_d,
@@ -205,27 +206,29 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
     many steps; the iteration is capped at ``2n + 4`` applications as a
     safety net.  The result is verified before being returned.
 
-    Genericity is screened once, at the answer: the operator application
-    of the verification screens the comparisons it makes, over the near
-    list and over every row it recomputes whole, and any collinear pair
-    fails the set (see :mod:`lilyseg.pointprocess`).  A near tie there
+    Genericity is screened once, at the answer f, in a pass of its own
+    before the verification: any collinear pair fails the set, and so does
+    a near tie among the comparisons one operator application makes at f,
+    over each germ's near list, or over its whole row where the list cannot
+    certify the answer (see :mod:`lilyseg.pointprocess`).  A near tie there
     raises :class:`~lilyseg.errors.ConditionDViolation`; any tie reported
     is one ``check_condition_d`` reports too.
     """
     _check_model(model)
-    table, screen = _fixed_point_screen(point_set, model)
+    table = _fixed_point_screen(point_set)
     radii, steps = _solve_fixed_point_array(table, model)
+    _screen_answer(table, model, radii)
     solution = Solution(point_set, model, RadiiAssignment.from_array(radii), METHOD_FIXED_POINT, steps)
-    _require_verified(solution, table, screen)
+    _require_verified(solution, table)
     return solution
 
 
-def _require_verified(solution: Solution, table: PairTable, screen=None) -> None:
+def _require_verified(solution: Solution, table: PairTable) -> None:
     """Raise :class:`VerificationFailed` unless ``solution`` verifies; on
     success it keeps the stops and contacts of its verification."""
     radii = solution.radii.to_array()
     answer = table.answer_pass(radii, solution.model, VERIFY_TOL)
-    report = _verify_with_table(table, radii, solution.model, VERIFY_TOL, screen, answer)
+    report = _verify_with_table(table, radii, solution.model, VERIFY_TOL, answer)
     if not report.passes:
         raise VerificationFailed(
             f"{solution.method} produced an invalid system: "
@@ -532,7 +535,7 @@ class VerificationReport:
 
 
 def _verify_with_table(
-    table: PairTable, radii: np.ndarray, model: int, tol: float, screen=None, answer: Optional[AnswerPass] = None
+    table: PairTable, radii: np.ndarray, model: int, tol: float, answer: Optional[AnswerPass] = None
 ) -> VerificationReport:
     """Verify ``radii``; ``answer``, when given, is ``table.answer_pass(radii, model, tol)``."""
     if answer is None:
@@ -542,7 +545,7 @@ def _verify_with_table(
     explained[answer.stop_i] = True
     growth = tuple(int(i) for i in np.nonzero(np.isfinite(radii) & ~explained)[0])
 
-    mapped = table._operator(radii, model, screen)
+    mapped = table.operator(radii, model)
     with np.errstate(invalid="ignore"):
         near = np.abs(mapped - radii) <= tol * np.maximum(radii, 1.0)
     close = (np.isinf(mapped) & np.isinf(radii)) | (np.isfinite(mapped) & np.isfinite(radii) & near)

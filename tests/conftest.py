@@ -11,13 +11,12 @@ SQRT2 = math.sqrt(2.0)
 
 
 def table_rows(table):
-    """The whole table ``(d, transversal, collinear)``, stacked from its row blocks."""
+    """The whole table ``(d, collinear)``, stacked from its row blocks."""
     n = table.n
-    d = np.empty((n, n))
-    transversal, collinear = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool)
+    d, collinear = np.empty((n, n)), np.empty((n, n), dtype=bool)
     for slab in table._row_blocks(np.arange(n)):
-        d[slab.rows], transversal[slab.rows], collinear[slab.rows] = slab.d, slab.transversal, slab.collinear
-    return d, transversal, collinear
+        d[slab.rows], collinear[slab.rows] = slab.d, slab.collinear
+    return d, collinear
 
 
 def near_reference(table):
@@ -26,14 +25,14 @@ def near_reference(table):
     pair (i, j), i < j, in row-major order."""
     n = table.n
     width = n if n <= 2 * geometry._NEAR else geometry._NEAR
-    d, transversal, collinear = table_rows(table)
+    d, collinear = table_rows(table)
     dT = d.T
     order = np.argsort(np.maximum(d, dT), axis=1, kind="stable")
     r = np.arange(n)[:, None]
     j = order[:, :width]
     bound = np.maximum(d, dT)[r[:, 0], order[:, width]] if width < n else np.full(n, np.inf)
     ci, cj = np.nonzero(np.triu(collinear, k=1))
-    return NearList(j, d[r, j], dT[r, j], transversal[r, j], collinear[r, j], bound, np.column_stack((ci, cj)))
+    return NearList(j, d[r, j], dT[r, j], collinear[r, j], bound, np.column_stack((ci, cj)))
 
 
 def on_carrier_reference(table):

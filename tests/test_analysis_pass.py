@@ -31,7 +31,7 @@ from lilyseg import (
     stopping_map,
 )
 from lilyseg.errors import AmbiguousStop, StructureInconsistency
-from lilyseg.geometry import CONTACT_TOL, PairTable, shared_pair_table
+from lilyseg.geometry import CONTACT_TOL, PairTable, _key_pairs, shared_pair_table
 from lilyseg.solver import solution_to_json
 from lilyseg.stats import McConfig, _collect_replication
 
@@ -120,16 +120,17 @@ def _sets():
 
 
 def reference_report(solution):
-    """The analysis as per-germ loops over the two kernel views: the stops
-    as a dict, the union-find over the edge set, the cycles by walking the
-    map from each finite index in turn."""
+    """The analysis as per-germ loops over the stops and the touching pairs
+    of ``answer_pass``: the stops as a dict, the union-find over the edge
+    set, the cycles by walking the map from each finite index in turn."""
     table = shared_pair_table(solution.point_set)
     radii = solution.radii.to_array()
     n = len(radii)
-    stops = dict(zip(*(a.tolist() for a in table.stop_matches(radii, solution.model, 1e-9))))
+    found = table.answer_pass(radii, solution.model, 1e-9)
+    stops = dict(zip(found.stop_i.tolist(), found.stop_j.tolist()))
     assert sorted(stops) == list(solution.radii.finite_indices())
     edges = {(min(i, j), max(i, j)) for i, j in stops.items()}
-    assert edges == set(table.cover(radii, strict=False, tol=1e-9))
+    assert edges == set(_key_pairs(table.answer_pass(radii, None, 1e-9).touching, n))
     parent = list(range(n))
 
     def find(i):

@@ -136,6 +136,14 @@ class TestSolve:
         assert run(["solve", "--model", 1, "--in", path]) == 2
         assert capsys.readouterr().err.startswith("error: malformed realization")
 
+    def test_coordinate_past_the_limit_exits_2(self, tmp_path, capsys):
+        past = math.nextafter(1e150, math.inf)
+        points = [{"x": 0.0, "y": 0.0, "theta": 0.0}, {"x": 1.0, "y": past, "theta": 1.0}]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"schema_version": "1", "points": points}))
+        assert run(["solve", "--model", 1, "--in", path]) == 2
+        assert "coordinates must lie within" in capsys.readouterr().err
+
 
 class TestAnalyzeRender:
     def test_analyze_f3(self, f3_file, tmp_path):

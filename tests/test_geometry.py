@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lilyseg import (
     IdenticalGerms,
     InputTooLarge,
+    InvalidInput,
     MarkedPoint,
     MarkedPointSet,
     NegativeRadius,
@@ -28,7 +30,7 @@ from lilyseg import (
     verify_gmhs,
 )
 from lilyseg import geometry
-from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable, shared_pair_table
+from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable, _key_pairs, shared_pair_table
 from lilyseg.pointprocess import check_condition_d
 
 from conftest import near_reference, planted_points, table_rows
@@ -240,7 +242,21 @@ def test_table_cover_matches_scalar_predicates(pair, pick_a, pick_b):
     table = PairTable((a, b))
     for strict, scalar in ((True, relative_interiors_intersect), (False, segments_touch)):
         expected = [(0, 1)] if scalar(sa, sb, CONTACT_TOL) else []
-        assert table.cover(radii, strict=strict, tol=CONTACT_TOL) == expected
+        found = table.answer_pass(radii, None, CONTACT_TOL)
+        assert _key_pairs(found.strict if strict else found.touching, 2) == expected
+
+
+@pytest.mark.parametrize("third, expected", [(1.0, []), (sys.float_info.max, [(0, 2), (1, 2)])])
+def test_contacts_at_the_largest_finite_radius(third, expected):
+    # r * (1 + tol) overflows to inf at the largest finite radius; the
+    # diagonal and the disjoint parallel pair (0, 1), of d = inf, still
+    # touch nothing.
+    big = sys.float_info.max
+    table = PairTable((mp(0.0, 0.0, 0.0), mp(0.0, 1.0, 0.0), mp(5.0, 5.0, 1.0)))
+    with np.errstate(over="ignore"):
+        found = table.answer_pass(np.array([big, big, third]), None, CONTACT_TOL)
+    assert _key_pairs(found.touching, 3) == expected
+    assert _key_pairs(found.strict, 3) == expected
 
 
 def _dense_table(points, angle_tol=PARALLEL_TOL):
@@ -284,7 +300,8 @@ def _dense_table(points, angle_tol=PARALLEL_TOL):
 def test_table_matches_dense_reference_bytewise(points):
     table = PairTable(points)
     expected = _dense_table(points)
-    d, transversal, collinear = table_rows(table)
+    d, collinear = table_rows(table)
+    transversal = np.isfinite(d) & ~collinear
     for got, want in zip((table.d, d, transversal, collinear), (expected[0], *expected)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -314,7 +331,7 @@ def test_row_blocks_match_dense_reference_bytewise(points):
                 assert slab.cols.shape == (len(slab.rows), n)
                 assert slab.d.tobytes() == d[slab.rows].tobytes()
                 assert slab.dT.tobytes() == np.ascontiguousarray(d[:, slab.rows].T).tobytes()
-                assert slab.transversal.tobytes() == transversal[slab.rows].tobytes()
+                assert (np.isfinite(slab.d) & ~slab.collinear).tobytes() == transversal[slab.rows].tobytes()
                 assert slab.collinear.tobytes() == collinear[slab.rows].tobytes()
                 seen.extend(slab.rows.tolist())
             assert seen == rows.tolist()
@@ -384,6 +401,36 @@ def test_production_path_holds_no_dense_table(side, limit_mib):
     assert "d" not in vars(table)
     sizes = [a.size for value in vars(table).values() for a in _arrays(value)]
     assert sizes and max(sizes) < n * n
+
+
+def spread_points(n, half, seed=0):
+    """``n`` germs uniform in the square ``[-half, half]^2``, four of them at its corners."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-1.0, 1.0, (n, 2)) * half
+    xy[:4] = [(half, half), (-half, half), (half, -half), (-half, -half)]
+    return [MarkedPoint(x, y, t) for (x, y), t in zip(xy.tolist(), rng.uniform(0.0, math.pi, n).tolist())]
+
+
+@pytest.mark.parametrize("n", [80, 400])
+def test_set_at_the_coordinate_limit_solves_and_verifies(n):
+    mps = MarkedPointSet(spread_points(n, geometry.COORDINATE_LIMIT))
+    assert shared_pair_table(mps).near.j.shape[1] == (geometry._NEAR if n > 2 * geometry._NEAR else n)
+    for model in (1, 2):
+        solution = solve_fixed_point(mps, model)
+        assert verify_gmhs(mps, solution.radii, model).passes
+        analyze(solution)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_coordinate_one_ulp_past_the_limit_raises(axis, sign):
+    past = sign * math.nextafter(geometry.COORDINATE_LIMIT, math.inf)
+    points = spread_points(80, geometry.COORDINATE_LIMIT)
+    points[-1] = MarkedPoint(*((past, 0.0) if axis == 0 else (0.0, past)), 0.5)
+    with pytest.raises(InvalidInput, match="coordinates"):
+        PairTable(points)
+    with pytest.raises(InvalidInput, match="coordinates"):
+        solve_fixed_point(MarkedPointSet(points), 2)
 
 
 def test_fold_direction():

@@ -234,9 +234,9 @@ def test_solve_screens_one_operator_application():
     mps = sample_poisson(1.0, Rectangle.square(9.0), seed=5)
     seen = []
 
-    def record(table, model, slab, radii, out):
+    def record(table, model, slab, radii):
         seen.append((slab.rows.copy(), slab.cols.shape[1], radii.copy()))
-        return screen_rows(table, model, slab, radii, out)
+        return screen_rows(table, model, slab, radii)
 
     screen_rows = pointprocess._screen_rows
     for model in (1, 2):

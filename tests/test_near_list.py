@@ -29,7 +29,7 @@ from lilyseg import (
     verify_gmhs,
 )
 from lilyseg import geometry
-from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable, shared_pair_table
+from lilyseg.geometry import CONTACT_TOL, PARALLEL_TOL, PairTable, _key_pairs, shared_pair_table
 from lilyseg.solver import VerificationReport, _verify_with_table
 from lilyseg.structure import stopping_map
 
@@ -69,7 +69,8 @@ def dense_cover(table, radii, strict, tol):
     ri = radii[:, None]
     less = np.less if strict else np.less_equal
     scale = 1.0 - tol if strict else 1.0 + tol
-    _, transversal, collinear = table_rows(table)
+    _, collinear = table_rows(table)
+    transversal = np.isfinite(table.d) & ~collinear
     with np.errstate(invalid="ignore"):
         cover_i = np.where(np.isinf(ri), np.isfinite(table.d), less(table.d, ri * scale))
         hit = transversal & cover_i & cover_i.T
@@ -196,14 +197,17 @@ def test_kernels_match_dense_reference(points, seed, width):
         assert got.tobytes() == dense_operator(table, model, radii).tobytes()
         for tol in (0.0, CONTACT_TOL):
             mask = dense_stop_matches(table, radii, model, tol) & np.isfinite(radii)[:, None]
-            i, j = table.stop_matches(radii, model, tol)
+            found = table.answer_pass(radii, model, tol)
+            i, j = found.stop_i, found.stop_j
             want_i, want_j = np.nonzero(mask)
             assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
         report = _verify_with_table(table, radii, model, CONTACT_TOL)
         assert repr(report) == repr(dense_verify(table, radii, model, CONTACT_TOL))
     for strict in (True, False):
         for tol in (0.0, CONTACT_TOL):
-            assert table.cover(radii, strict, tol) == dense_cover(table, radii, strict, tol)
+            found = table.answer_pass(radii, None, tol)
+            got = _key_pairs(found.strict if strict else found.touching, table.n)
+            assert got == dense_cover(table, radii, strict, tol)
 
 
 @given(point_lists(), NEAR_WIDTHS, st.sampled_from([1, 2]))

@@ -210,13 +210,13 @@ def _brute_condition_d(mps, tie_tol):
     the (min, max) copy of a collinear pair) and ordered by value, then by
     row-major index.
     """
-    d, transversal, collinear = table_rows(PairTable(mps.points))
+    d, collinear = table_rows(PairTable(mps.points))
     n = len(mps)
     entries = sorted(
         (float(d[i, j]), (i, j))
         for i in range(n)
         for j in range(n)
-        if (transversal[i, j] and math.isfinite(d[i, j]))
+        if (not collinear[i, j] and math.isfinite(d[i, j]))
         or (collinear[i, j] and i < j)
     )
     near = []

@@ -26,6 +26,7 @@ from lilyseg import (
     solve_greedy_oracle,
     verify_gmhs,
 )
+from lilyseg import geometry, solver
 from lilyseg.geometry import PARALLEL_TOL, PairTable
 from lilyseg.solver import (
     _candidate_mask,
@@ -101,6 +102,37 @@ class TestOperators:
                 out_lo = np.array(op(lo, mps).values)
                 out_hi = np.array(op(hi, mps).values)
                 assert np.all(out_lo >= out_hi)
+
+
+@pytest.mark.parametrize("width", [0, 32])
+def test_fixed_point_solve_applies_the_operator_once_past_its_steps(width):
+    # The loop makes `iterations` applications and the verification one
+    # more; the screen of the answer makes none.  At width 0 every row the
+    # screen reads is a whole row.
+    mps = sample_poisson(1.0, Rectangle.square(12.0), seed=2)
+    calls, screening = [], []
+    operator, screen = PairTable.operator, solver._screen_answer
+
+    def counted(table, radii, model):
+        calls.append(bool(screening))
+        return operator(table, radii, model)
+
+    def watched(*args):
+        screening.append(True)
+        try:
+            return screen(*args)
+        finally:
+            screening.clear()
+
+    for model in (1, 2):
+        calls.clear()
+        with mock.patch.object(geometry, "_NEAR", width), mock.patch.object(PairTable, "operator", counted), \
+                mock.patch.object(solver, "_screen_answer", side_effect=watched) as screened:
+            solution = solve_fixed_point(MarkedPointSet(mps.points), model)
+        assert solution.iterations > 2
+        assert len(calls) == solution.iterations + 1
+        assert not any(calls)
+        assert screened.call_count == 1
 
 
 class TestFixtureSolutions:
