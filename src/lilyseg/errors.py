@@ -26,7 +26,8 @@ class RadiiMismatch(LilysegError):
 
 
 class InputTooLarge(LilysegError):
-    """A point set's dense pair table, which only the oracle solvers build, would not fit in physical memory."""
+    """A point set would not fit in physical memory: its near list and the
+    fixed-point solves reading it, or the dense pair table the oracle solvers build."""
 
 
 class InvalidIntensity(LilysegError):

@@ -7,11 +7,14 @@ midpoints, need to reach the intersection point of their carrier lines.
 This module computes those distances (scalar and all-pairs vectorized),
 realizes segments from solved radii, and holds the scalar contact
 predicates along with the :class:`PairTable` pair kernels that the solvers,
-the verifier and the structure analysis call: ``operator`` and
-``admissible`` (the stopping rule), and ``answer_pass``, one traversal at
-an answer for the explained stops and the all-pairs contact tests.  A
-pair's kind is read off its distances: a pair of finite ``d`` is collinear
-or transversal, and the table marks the collinear ones.  Every pair of the
+the verifier and the structure analysis call: ``operator`` (the stopping
+rule) and ``answer_pass``, one traversal at an answer for the explained
+stops and the all-pairs contact tests.  A pair's kind is read off its
+distances: a pair of finite ``d`` is collinear or transversal, and the
+table marks the collinear ones.  The near list's stop values and masks
+(each model's candidates, the transversal pairs) are computed once per
+table, and the operator answers each listed row by its first admissible
+pair, the list being in stop-value order.  Every pair of the
 table is computed from the coordinates, each at most ``COORDINATE_LIMIT``
 in absolute value: a cell grid builds each germ's near list of closest
 stops from the germs around it, in O(n) pairs on a spread-out set, and
@@ -63,8 +66,14 @@ COORDINATE_LIMIT = 1e150
 # seed 1, table build and full screen included): the chain solver 33, the
 # greedy sweep 45 in Model 1 and 53-54 in Model 2 (its pair index and
 # event-time arrays), find_descending_chain 16.  Sizes the guard on the
-# build of d; the production path holds O(n) arrays and needs no guard.
+# build of d.
 _PAIR_BYTES = 54
+
+# Peak bytes per germ of the production path: the table with its near list
+# and the list's masks, both fixed-point solves and both analyses
+# (tracemalloc, 3.8 KB at 100x100 and 3.6 KB at 200x200, seed 1).  Sizes
+# the guard on the build of the near list.
+_GERM_BYTES = 4096
 
 # Ordered pairs per block when pairs of the table are computed (the near
 # list's grid cells, its kept pairs, the whole rows of the full screen and of
@@ -285,7 +294,7 @@ class NearList(NamedTuple):
     collinear_pairs: np.ndarray  # (k, 2) every collinear pair (i, j), i < j, in row-major order
 
 
-class _Slab(NamedTuple):
+class _Pairs(NamedTuple):
     """Pairs ``(rows[a], cols[a, b])`` with their ``d[i, j]``, ``d[j, i]`` and collinear flags."""
 
     rows: np.ndarray
@@ -293,6 +302,57 @@ class _Slab(NamedTuple):
     d: np.ndarray
     dT: np.ndarray
     collinear: np.ndarray
+
+
+class _Slab(_Pairs):
+    """Pairs of the table (see :class:`_Pairs`) with the masks the kernels
+    read, each computed on first use and kept.
+
+    In either model a candidate's stop value is its later-arrival time
+    ``m = max(d, dT)``: Model 1 admits only pairs with ``d > dT``, where
+    ``m`` is ``d``.  The near list's slab is made once per table, so its
+    masks are computed once (see :attr:`PairTable._near_slab`).
+    """
+
+    @cached_property
+    def finite(self) -> np.ndarray:
+        """Model 2's candidates: every pair of finite ``d``."""
+        return np.isfinite(self.d)
+
+    @cached_property
+    def ahead(self) -> np.ndarray:
+        """Model 1's candidates: finite ``d`` past ``dT``."""
+        return self.finite & (self.d > self.dT)
+
+    @cached_property
+    def transversal(self) -> np.ndarray:
+        return self.finite & ~self.collinear
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return np.maximum(self.d, self.dT)
+
+    def candidates(self, model: int) -> np.ndarray:
+        return self.ahead if model == 1 else self.finite
+
+    def values(self, model: int) -> np.ndarray:
+        """The stop values of ``model``'s candidates: ``d`` in Model 1, ``m`` in Model 2."""
+        return self.d if model == 1 else self.m
+
+    def admissible(self, radii: np.ndarray, model: int, tol: float = 0.0) -> np.ndarray:
+        """The candidates ``(i, j)`` whose ``j`` reaches the meeting point:
+        ``radii[j] > d[j, i]`` in Model 1 and ``>=`` in Model 2, with
+        ``d[j, i]`` shrunk by the relative slack ``tol``."""
+        reach = radii[self.cols]
+        need = self.dT * (1.0 - tol) if tol else self.dT
+        return self.candidates(model) & (reach > need if model == 1 else reach >= need)
+
+    def take(self, rows: np.ndarray) -> "_Slab":
+        """The slab restricted to its rows at positions ``rows``, masks included."""
+        part = _Slab(*(np.take(a, rows, axis=0) for a in self))
+        for name in ("finite", "ahead", "transversal", "m"):
+            part.__dict__[name] = np.take(getattr(self, name), rows, axis=0)
+        return part
 
 
 class AnswerPass(NamedTuple):
@@ -331,14 +391,13 @@ def _first(m: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
 def _spans(starts: np.ndarray, counts: np.ndarray, limit: int):
     """Positions ``starts[q] + k``, ``0 <= k < counts[q]``, of the queries
     ``q``, in chunks of about ``limit`` positions (one query at least); yields
-    each chunk's queries and positions."""
+    each chunk's queries ``lo:hi`` and positions, query by query."""
     total = np.cumsum(counts)
     lo = 0
     while lo < len(counts):
         hi = max(lo + 1, int(np.searchsorted(total, total[lo] - counts[lo] + limit, side="right")))
         c = counts[lo:hi]
-        q = np.repeat(np.arange(lo, hi), c)
-        yield q, np.arange(len(q)) + np.repeat(starts[lo:hi] - (np.cumsum(c) - c), c)
+        yield lo, hi, np.arange(c.sum()) + np.repeat(starts[lo:hi] - (np.cumsum(c) - c), c)
         lo = hi
 
 
@@ -372,16 +431,21 @@ class PairTable:
     :func:`pair_geometry`.  A point set keeps its table (see
     :func:`shared_pair_table`).
 
-    The pair kernels (``operator``, ``admissible`` and ``answer_pass``)
-    read the near list: for each row ``i`` the first ``_NEAR``
-    pairs in (m, j) order, ``m[i, j] = max(d[i, j], d[j, i])``, and
-    ``bound[i]``, the smallest ``m`` left out.  Every admissible stop and
-    every contact of ``i`` beyond ``bound[i]`` costs at least ``bound[i]``,
-    so each kernel certifies the rows the list answers exactly, with the
-    floating-point expression of its own test, and recomputes the other
-    rows whole.  A set of at most ``2 * _NEAR`` germs lists whole rows
-    (``bound`` is ``inf``), so no kernel recomputes a row there.  Results
-    equal the whole-matrix evaluation bit for bit.
+    The pair kernels (``operator`` and ``answer_pass``, and the fixed-point
+    solve's screen in :mod:`lilyseg.pointprocess`) read the near list: for
+    each row ``i`` the first ``_NEAR`` pairs in (m, j) order, ``m[i, j] =
+    max(d[i, j], d[j, i])``, and ``bound[i]``, the smallest ``m`` left out.
+    Every admissible stop and every contact of ``i`` beyond ``bound[i]``
+    costs at least ``bound[i]``, so each kernel certifies the rows the list
+    answers exactly, with the floating-point expression of its own test,
+    and recomputes the other rows whole.  The list is read as one
+    :class:`_Slab`, made once per table, so its ``m``, its candidate masks
+    (finite ``d``, and ``d > dT`` besides in Model 1) and its transversal
+    mask are computed once.  Every candidate's stop value is its ``m``, so
+    the operator answers a listed row by its first admissible pair.  A set
+    of at most ``2 * _NEAR`` germs lists whole rows (``bound`` is ``inf``),
+    so no kernel recomputes a row there.  Results equal the whole-matrix
+    evaluation bit for bit.
 
     :attr:`d` is the whole n x n distance matrix.  It is built on first use
     and kept; only the oracles in :mod:`lilyseg.solver` (the chain and
@@ -516,9 +580,12 @@ class PairTable:
         list's ``d``, ``dT`` and collinear flags are then computed once, for
         the kept pairs only, by :meth:`_block`.  Up to two list widths, the
         whole row is the list, read off one block in (m, j) order: no kernel
-        then recomputes a row.
+        then recomputes a row.  Raises :class:`InputTooLarge`, before any pair
+        is computed, when the list and the solves and analyses reading it
+        would not fit in physical memory.
         """
         n = self.n
+        _require_memory(n, n * _GERM_BYTES, "the near list, both solves and their analyses")
         bound = np.full(n, np.inf)
         if n <= 2 * _NEAR:
             slab = self._block(np.arange(n), _workspace(n * n))
@@ -618,8 +685,8 @@ class PairTable:
         ends = np.searchsorted(np.concatenate((t, t + math.pi)), t + 2 * PARALLEL_TOL, side="right")
         span = np.minimum(ends, at + n) - at - 1  # partners after each position
         found = [np.empty((0, 2), dtype=np.intp)]
-        for a, b in _spans(at + 1, span, max(_BLOCK_PAIRS, n)):
-            a, b = order[a], order[b % n]
+        for lo, hi, b in _spans(at + 1, span, max(_BLOCK_PAIRS, n)):
+            a, b = np.repeat(order[lo:hi], span[lo:hi]), order[b % n]
             i, j = np.minimum(a, b), np.maximum(a, b)
             parallel = np.abs(self.ux[i] * self.uy[j] - self.uy[i] * self.ux[j]) < PARALLEL_TOL
             i, j = i[parallel], j[parallel]
@@ -657,24 +724,30 @@ class PairTable:
         flat = np.abs(ux) >= np.abs(uy)
         for rows, across, along, rise, run in ((flat, x, y, uy, ux), (~flat, y, x, ux, uy)):
             rows = np.nonzero(rows)[0]
-            for i, j in self._strip_pairs(rows, across, along, rise[rows] / run[rows], margin):
-                candidate[i[self._on_line(i, j)]] = True
+            order, pairs = self._strip_pairs(rows, across, along, rise[rows] / run[rows], margin)
+            xs, ys = x[order], y[order]
+            for i, p in pairs:
+                k = self._on_line(i, (xs[p], ys[p]))
+                k = k[order[p[k]] != i[k]]  # germ i itself passes: drop it
+                candidate[i[k]] = True
         on = np.zeros(n, dtype=bool)
         for slab in self._row_blocks(np.nonzero(candidate)[0]):
             on[slab.rows] = (slab.dT == 0).any(axis=1)
         return on
 
     def _strip_pairs(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray, slope: np.ndarray, margin: float):
-        """Pairs ``(i, j)``, in chunks of about ``_BLOCK_PAIRS``: for each row
-        ``i`` the germs ``j`` of every strip across ``a`` whose ``b`` lies within
-        ``margin`` of the span of i's carrier ``b_i + (a - a_i) * slope_i`` over
-        the strip (|slope| <= 1), and a few germs beside them.
+        """The germs in strip order, and pairs ``(i, p)`` of germ ``i`` and
+        the germ at position ``p`` of that order, in chunks of about
+        ``_BLOCK_PAIRS``: for each row ``i`` the germs of every strip across
+        ``a`` whose ``b`` lies within ``margin`` of the span of i's carrier
+        ``b_i + (a - a_i) * slope_i`` over the strip (|slope| <= 1), and a few
+        germs beside them.
 
         Each strip is cut along ``b`` into bins of about a quarter germ, and
         the germs are sorted once by strip and bin.  A span's candidates are
         the germs of the bins its ends fall in and of those between, read off
-        the bins' cumulative counts.  The bin of a value is monotone in it,
-        so a germ within a span lies in one of those bins.
+        the bins' cumulative counts: one run of positions.  The bin of a value
+        is monotone in it, so a germ within a span lies in one of those bins.
         """
         n = self.n
         limit = max(_BLOCK_PAIRS, n)
@@ -685,7 +758,9 @@ class PairTable:
         width, height = wa / count, (wb if wb > 0 else 1.0) / bins
 
         def cell(v):
-            return np.clip(np.floor((v - b0) / height), 0, bins - 1).astype(np.intp)
+            v = np.subtract(v, b0)
+            v /= height
+            return np.clip(np.floor(v, out=v), 0, bins - 1, out=v).astype(np.intp)
 
         strip = np.minimum(np.floor((a - a0) / width), count - 1).astype(np.intp) if count > 1 else 0
         key = strip * bins + cell(b)
@@ -693,21 +768,32 @@ class PairTable:
         ends = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=count * bins))))
         edges = a0 + width * np.arange(count + 1)
         offset = bins * np.arange(count)
-        # A quarter block of (row, strip) spans at a time: each span takes
-        # several temporaries, and its pairs are expanded in blocks.
-        step = max(1, _BLOCK_PAIRS // (4 * count))
-        for lo in range(0, len(rows), step):
-            r = rows[lo:lo + step]
-            at = b[r, None] + (edges - a[r, None]) * slope[lo:lo + step, None]
-            first = ends[cell(np.minimum(at[:, :-1], at[:, 1:]) - margin) + offset].ravel()
-            last = ends[cell(np.maximum(at[:, :-1], at[:, 1:]) + margin) + offset + 1].ravel()
-            for q, p in _spans(first, last - first, limit):
-                yield r[q // count], order[p]
 
-    def _on_line(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Which pairs ``(i, j)``, ``i != j``, have a zero numerator of
-        ``d[j, i]``: ``fl(wx * uy_i) == fl(wy * ux_i)``, ``(wx, wy) = g_j - g_i``."""
-        return ((self.x[j] - self.x[i]) * self.uy[i] == (self.y[j] - self.y[i]) * self.ux[i]) & (i != j)
+        def pairs():
+            # A quarter block of (row, strip) spans at a time: each span takes
+            # several temporaries, and its pairs are expanded in blocks.
+            step = max(1, _BLOCK_PAIRS // (4 * count))
+            for lo in range(0, len(rows), step):
+                r = rows[lo:lo + step]
+                at = b[r, None] + (edges - a[r, None]) * slope[lo:lo + step, None]
+                first = ends[cell(np.minimum(at[:, :-1], at[:, 1:]) - margin) + offset].ravel()
+                counts = ends[cell(np.maximum(at[:, :-1], at[:, 1:]) + margin) + offset + 1].ravel() - first
+                for s, e, p in _spans(first, counts, limit):
+                    yield np.repeat(r[np.arange(s, e) // count], counts[s:e]), p
+
+        return order, pairs()
+
+    def _on_line(self, i: np.ndarray, germs: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Positions ``k`` of the pairs ``(i[k], j)``, germ j at ``(germs[0][k],
+        germs[1][k])``, with a zero numerator of ``d[j, i]``: ``fl(wx * uy_i) ==
+        fl(wy * ux_i)``, ``(wx, wy) = g_j - g_i``.  Germ i itself passes.  The
+        two coordinate arrays are overwritten."""
+        wx, wy = germs
+        wx -= self.x[i]
+        wy -= self.y[i]
+        wx *= self.uy[i]
+        wy *= self.ux[i]
+        return np.flatnonzero(wx == wy)
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -729,76 +815,50 @@ class PairTable:
         before the first block.
         """
         n = self.n
-        need = n * n * _PAIR_BYTES
-        try:
-            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        except (AttributeError, ValueError, OSError):  # size unknown: no guard
-            memory = 0
-        if 0 < memory < need:
-            raise InputTooLarge(
-                f"{n} points need {need / 2**30:.1f} GiB for the dense pair table and the "
-                f"oracle solvers, more than the {memory / 2**30:.1f} GiB of physical memory"
-            )
+        _require_memory(n, n * n * _PAIR_BYTES, "the dense pair table and the oracle solvers")
         d = np.empty((n, n))
         for slab in self._row_blocks(np.arange(n)):
             d[slab.rows[0]:slab.rows[-1] + 1] = slab.d
             yield slab
         self.__dict__["d"] = d
 
-    def _near_slab(self, rows: Optional[np.ndarray] = None) -> _Slab:
-        """The near list as a slab, restricted to ``rows`` when given."""
+    @cached_property
+    def _near_slab(self) -> _Slab:
+        """The near list as one slab, its masks kept with it (see :class:`_Slab`)."""
         near = self.near
-        pairs = (near.j, near.d, near.dT, near.collinear)
-        if rows is None:
-            return _Slab(np.arange(self.n), *pairs)
-        return _Slab(rows, *(a[rows] for a in pairs))
-
-    def admissible(
-        self, radii: np.ndarray, model: int, tol: float = 0.0, slab: Optional[_Slab] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Admissible stops over a slab (the near list by default).
-
-        Returns a mask of the candidates ``(i, j)`` whose ``j`` reaches the
-        meeting point, and the stop values.  The reach rule is
-        ``radii[j] > d[j, i]`` in Model 1 and ``>=`` in Model 2, with
-        ``d[j, i]`` shrunk by the relative slack ``tol``.
-        """
-        _check_model(model)
-        _, cols, d, dT, _ = self._near_slab() if slab is None else slab
-        need = dT * (1.0 - tol)
-        reach = radii[cols]
-        if model == 1:
-            return np.isfinite(d) & (d > dT) & (reach > need), d
-        return np.isfinite(d) & (reach >= need), np.maximum(d, dT)
+        return _Slab(np.arange(self.n), near.j, near.d, near.dT, near.collinear)
 
     def operator(self, radii: np.ndarray, model: int) -> np.ndarray:
         """One application of the model's stopping operator to ``radii``.
 
         Entry ``i`` is the smallest admissible stop value of row ``i``
-        (``inf`` when there is none), read off the near list where that is
-        exact and recomputed over the whole row elsewhere.  A list answer up
-        to ``bound`` is exact; a row answered past it is recomputed whole,
-        unless no radius is positive.  Then nothing left out of a list is
-        admissible, except in Model 2 on a row some germ lies exactly on the
-        carrier of (:attr:`_on_carrier`, found on first need).
+        (``inf`` when there is none).  A listed row is answered by its first
+        admissible pair: the list is in (m, j) order and every candidate's
+        stop value is its m, so that pair holds the row's smallest.  A list
+        answer up to ``bound`` is exact; a row answered past it is recomputed
+        whole.  When no radius is positive (the first step, f = 0) nothing
+        is admissible in Model 1, and in Model 2 only a pair whose ``j`` lies
+        exactly on i's carrier (``d[j, i] == 0``): then only the rows of
+        :attr:`_on_carrier` (found on first need) are read.
         """
-        near = self.near
-        ok, values = self.admissible(radii, model)
-        out = _row_min(ok, values)
+        _check_model(model)
+        bound = self.near.bound
+        top = radii.max(initial=-np.inf)
+        slab = self._near_slab
+        if top <= 0:
+            out = np.full(self.n, np.inf)
+            if model == 1 or top < 0:
+                return out
+            if not np.isinf(bound).all():
+                slab = slab.take(np.nonzero(np.isinf(bound) | self._on_carrier)[0])
+            out[slab.rows] = _first_admissible(slab.admissible(radii, 2), slab.m)
+        else:
+            out = _first_admissible(slab.admissible(radii, model), slab.values(model))
         # A candidate left out of row i stops it at m >= bound[i], so a list
-        # answer up to bound[i] is exact.  So is any answer when no radius is
-        # positive (the first step, f = 0): a radius reaches past d[j, i] >= 0
-        # only in Model 2, at d[j, i] == 0, where germ j lies on i's carrier.
-        unsure = out > near.bound
-        if unsure.any():
-            top = np.max(radii)
-            if model == 2 and top == 0:
-                unsure &= self._on_carrier
-            elif top <= 0:
-                unsure[:] = False
-            for slab in self._row_blocks(np.nonzero(unsure)[0]):
-                ok, values = self.admissible(radii, model, slab=slab)
-                out[slab.rows] = _row_min(ok, values)
+        # answer up to bound[i] is exact.
+        rows = slab.rows
+        for slab in self._row_blocks(rows[out[rows] > bound[rows]]):
+            out[slab.rows] = _row_min(slab.admissible(radii, model), slab.values(model))
         return out
 
     def answer_pass(self, radii: np.ndarray, model: Optional[int], tol: float) -> AnswerPass:
@@ -813,6 +873,8 @@ class PairTable:
         :func:`relative_interiors_intersect` (``strict``) and
         :func:`segments_touch` (``touching``) at slack ``tol``.
         """
+        if model is not None:
+            _check_model(model)
         n, bound = self.n, self.near.bound
         finite = np.isfinite(radii)
         with np.errstate(invalid="ignore"):
@@ -829,19 +891,19 @@ class PairTable:
         stops, touching, strict = [np.zeros(0, dtype=np.intp)], [], []
         # The list over every row, its hits kept on the rows it certifies, then whole rows.
         whole = zip(self._row_blocks(np.nonzero(~listed)[0]), repeat(None))
-        for slab, keep in chain([(self._near_slab(), listed)], whole):
+        for slab, keep in chain([(self._near_slab, listed)], whole):
             rows, cols, d, dT, collinear = slab
             ri, rj = radii[rows, None], radii[cols]
             with np.errstate(invalid="ignore"):
-                # Infinite radii cover every finite distance, interior included.
-                # Transversal pairs are those of finite d, collinear ones
-                # aside; d = inf must not pass where ri * (1 + tol) overflows.
-                hit = np.isfinite(d) & ~collinear & np.where(np.isinf(ri), np.isfinite(d), d <= ri * (1.0 + tol))
-                hit &= np.where(np.isinf(rj), np.isfinite(dT), dT <= rj * (1.0 + tol))
+                # Infinite radii cover every finite distance, interior included;
+                # a transversal pair has finite d and dT, so d = inf never
+                # passes where ri * (1 + tol) overflows.
+                hit = slab.transversal & (np.isinf(ri) | (d <= ri * (1.0 + tol)))
+                hit &= np.isinf(rj) | (dT <= rj * (1.0 + tol))
                 if collinear.any():
                     reach = ri + rj
                     hit |= collinear & (np.isinf(reach) | (d + dT <= reach * (1.0 + tol)))
-            a, b = np.nonzero(hit)
+            a, b = _nonzero(hit)
             if keep is not None:
                 a, b = a[keep[a]], b[keep[a]]
             i, j = rows[a], cols[a, b]
@@ -855,21 +917,44 @@ class PairTable:
                 inside |= collinear[a, b] & (np.isinf(reach) | (d + dT < reach * (1.0 - tol)))
             strict.append(touching[-1][inside])
             if model is not None:
-                ok, values = self.admissible(radii, model, tol, slab)
                 ri = radii[rows, None]
                 with np.errstate(invalid="ignore"):
-                    hit = ok & (np.abs(values - ri) <= tol * np.maximum(ri, 1.0))
+                    hit = slab.admissible(radii, model, tol) & (np.abs(slab.values(model) - ri) <= tol * np.maximum(ri, 1.0))
                 hit &= (finite[rows] if keep is None else keep & finite)[:, None]
-                a, b = np.nonzero(hit)
+                a, b = _nonzero(hit)
                 stops.append(rows[a] * n + cols[a, b])
         stop_i, stop_j = np.divmod(np.sort(np.concatenate(stops)), n)
-        return AnswerPass(stop_i, stop_j, np.unique(np.concatenate(strict)), np.unique(np.concatenate(touching)))
+        return AnswerPass(stop_i, stop_j, _unique(np.concatenate(strict)), _unique(np.concatenate(touching)))
+
+
+def _nonzero(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a 2-D mask, at about half its cost."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an integer array, from one sort: several times
+    faster than its hashing on the few thousand keys of an answer."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _key_pairs(keys: np.ndarray, n: int) -> List[Tuple[int, int]]:
     """Pair keys ``i * n + j`` as tuples ``(i, j)``."""
     i, j = np.divmod(keys, n)
     return list(zip(i.tolist(), j.tolist()))
+
+
+def _first_admissible(ok: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row, ``values`` at the first entry where ``ok`` (``inf`` when none
+    is): the row minimum of :func:`_row_min` on rows in ascending order."""
+    if ok.shape[1] == 0:  # argmax takes no empty axis
+        return np.full(len(ok), np.inf)
+    r = np.arange(len(ok))
+    k = ok.argmax(axis=1)
+    return np.where(ok[r, k], values[r, k], np.inf)
 
 
 def _row_min(ok: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -879,6 +964,20 @@ def _row_min(ok: np.ndarray, values: np.ndarray) -> np.ndarray:
     on values that are never NaN, at about half its cost.
     """
     return np.where(ok, values, np.inf).min(axis=1, initial=np.inf)
+
+
+def _require_memory(n: int, need: int, use: str) -> None:
+    """Raise :class:`InputTooLarge` when ``use`` on ``n`` points, ``need``
+    bytes, exceeds physical memory; no guard when its size is unknown."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < memory < need:
+        raise InputTooLarge(
+            f"{n} points need {need / 2**30:.1f} GiB for {use}, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def _check_model(model: int) -> None:

@@ -67,7 +67,7 @@ from .errors import (
     InvalidWindow,
     NotEnoughPoints,
 )
-from .geometry import MarkedPoint, PairTable, shared_pair_table
+from .geometry import MarkedPoint, PairTable, _nonzero, shared_pair_table
 
 log = logging.getLogger(__name__)
 
@@ -367,7 +367,10 @@ def _exact_ties(g: int, row: np.ndarray, col: np.ndarray, collinear: np.ndarray,
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Where ``a`` and ``b`` are a near tie by the screen's rule (false on ``inf``)."""
     with np.errstate(invalid="ignore"):
-        return np.abs(a - b) < TIE_TOL * np.maximum(np.maximum(a, b), 1.0)
+        gap = np.subtract(a, b)
+        scale = np.maximum(a, b)
+        np.maximum(scale, 1.0, out=scale)
+        return np.less(np.abs(gap, out=gap), np.multiply(scale, TIE_TOL, out=scale))
 
 
 def _screen_answer(table: PairTable, model: int, radii: np.ndarray) -> None:
@@ -381,7 +384,8 @@ def _screen_answer(table: PairTable, model: int, radii: np.ndarray) -> None:
     for slab in table._row_blocks(np.nonzero(whole)[0]):
         _screen_rows(table, model, slab, radii)
     listed = np.nonzero(~whole)[0]
-    _screen_rows(table, model, table._near_slab(None if len(listed) == table.n else listed), radii)
+    slab = table._near_slab
+    _screen_rows(table, model, slab if len(listed) == table.n else slab.take(listed), radii)
 
 
 def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray) -> None:
@@ -399,16 +403,15 @@ def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray) -> None:
     """
     n = table.n
     d, dT, collinear = slab.d, slab.dT, slab.collinear
-    finite = np.isfinite(d)
     reach = radii[slab.cols]
-    candidate = finite & (d > dT) if model == 1 else finite
     with np.errstate(invalid="ignore"):
-        live = candidate & (reach > 0) & np.isfinite(reach) & ~((reach == dT) & (dT >= d))
+        live = slab.candidates(model) & (reach > 0) & np.isfinite(reach)
+        live &= ~((reach == dT) & (dT >= d))
     reach_hit = live & _close(reach, dT)
-    pair_hit = finite & ~collinear & _close(d, dT) if model == 1 else np.zeros_like(finite)
+    pair_hit = slab.transversal & _close(d, dT) if model == 1 else np.zeros_like(live)
     answer = radii[slab.rows, None]
-    row_hit = finite & _close(d, answer)
-    col_hit = finite & ~collinear & _close(dT, answer)
+    row_hit = slab.finite & _close(d, answer)
+    col_hit = slab.transversal & _close(dT, answer)
     crowded = row_hit.sum(axis=1) + col_hit.sum(axis=1) > 1  # the answer itself is one
     if not (reach_hit.any() or pair_hit.any() or crowded.any()):
         return
@@ -422,7 +425,7 @@ def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray) -> None:
         col[cols] = np.where(pair_hit[a] | (col_hit[a] & crowded[a]), dT[a], inf)
         flags[cols] = collinear[a]
         _exact_ties(int(slab.rows[a]), row, col, flags, TIE_TOL, found)
-    a, b = np.nonzero(reach_hit)
+    a, b = _nonzero(reach_hit)
     germs = slab.cols[a, b]
     for other in table._row_blocks(np.unique(germs)):
         for k, g in enumerate(other.rows.tolist()):

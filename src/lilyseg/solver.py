@@ -212,7 +212,9 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
     over each germ's near list, or over its whole row where the list cannot
     certify the answer (see :mod:`lilyseg.pointprocess`).  A near tie there
     raises :class:`~lilyseg.errors.ConditionDViolation`; any tie reported
-    is one ``check_condition_d`` reports too.
+    is one ``check_condition_d`` reports too.  A set whose near list and
+    solves would not fit in physical memory raises
+    :class:`~lilyseg.errors.InputTooLarge` before any pair is computed.
     """
     _check_model(model)
     table = _fixed_point_screen(point_set)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import AmbiguousStop, StructureInconsistency
-from .geometry import AnswerPass, _key_pairs, shared_pair_table
+from .geometry import AnswerPass, _key_pairs, _unique, shared_pair_table
 from .pointprocess import Window
 from .solver import VERIFY_TOL, Solution
 
@@ -179,7 +179,7 @@ def analyze(solution: Solution, tol: float = VERIFY_TOL) -> StructureReport:
     n = len(radii)
 
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    keys = np.unique(lo * n + hi)
+    keys = _unique(lo * n + hi)
     if not np.array_equal(keys, answer.touching):
         extra = _key_pairs(np.setdiff1d(answer.touching, keys)[:4], n)
         missing = _key_pairs(np.setdiff1d(keys, answer.touching)[:4], n)

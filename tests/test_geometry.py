@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -347,6 +348,30 @@ def test_row_blocks_match_dense_reference_bytewise(points):
         for got, want in zip(table.near, near_reference(table)):
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     assert reports[0] == reports[1] and not reports[0].passes
+
+
+def reported_memory(nbytes):
+    """A stand-in for ``os.sysconf`` reporting ``nbytes`` of physical memory."""
+    return lambda name: {"SC_PHYS_PAGES": nbytes // 4096, "SC_PAGE_SIZE": 4096}[name]
+
+
+def test_production_path_raises_before_the_near_list():
+    # 100 germs need 100 * _GERM_BYTES on the production path: with a page
+    # less reported, the solve raises before any pair is computed.
+    mps = sample_poisson(1.0, Rectangle.square(10.0), seed=1)
+    solutions = [solve_fixed_point(mps, model) for model in (1, 2)]
+    need = len(mps) * geometry._GERM_BYTES
+    with mock.patch.object(geometry.os, "sysconf", reported_memory(need - 4096)), \
+            mock.patch.object(PairTable, "_block", side_effect=AssertionError("pair computed")), \
+            mock.patch.object(PairTable, "_m_block", side_effect=AssertionError("pair computed")):
+        for solution in solutions:
+            with pytest.raises(InputTooLarge):
+                solve_fixed_point(MarkedPointSet(mps.points), solution.model)
+            with pytest.raises(InputTooLarge):
+                verify_gmhs(MarkedPointSet(mps.points), solution.radii, solution.model)
+    with mock.patch.object(geometry.os, "sysconf", reported_memory(need + 4096)):
+        for solution in solutions:
+            assert solve_fixed_point(MarkedPointSet(mps.points), solution.model).radii == solution.radii
 
 
 @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory size unavailable")

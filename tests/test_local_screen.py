@@ -209,6 +209,20 @@ def test_answer_tied_with_the_list_bound_stops_the_solve():
     assert set(exc.value.report.near_ties) <= set(full.near_ties)
 
 
+def test_answer_within_a_tie_of_the_list_bound_stops_the_solve():
+    # As above, with the second vertical raised by 1e-12: bound[0] is then a
+    # near tie of germ 0's Model-2 answer, 4, without being equal to it, so
+    # only the tie tolerance sends row 0 to the whole-row screen.
+    points = (MarkedPoint(0, 0, 0.0), MarkedPoint(3, 4, math.pi / 2), MarkedPoint(-3, 4 + 1e-12, math.pi / 2))
+    mps, table, full = screened(points, 1)
+    bound = table.near.bound[0]
+    assert bound != 4.0 and abs(bound - 4.0) < TIE_TOL * bound
+    with pytest.raises(ConditionDViolation) as exc:
+        solve_fixed_point(mps, 2)
+    assert exc.value.report.near_ties
+    assert set(exc.value.report.near_ties) <= set(full.near_ties)
+
+
 def test_far_planted_tie_passes_the_local_screen(far_tie):
     mps, _, full = screened(far_tie.points, geometry._NEAR)
     n = len(mps) - 2

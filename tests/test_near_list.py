@@ -272,3 +272,83 @@ def test_solve_and_analyze_memory_above_table():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The operator's first-admissible search
+
+
+def equal_m_row():
+    """Germ 0 horizontal at the origin, verticals at (4, 3) and (-4, 3): its
+    pairs with both have d = 4 and d^T = 3, so the two later arrivals tie
+    exactly, and the list of row 0 holds germ 1 before germ 2."""
+    return [MarkedPoint(0.0, 0.0, 0.0), MarkedPoint(4.0, 3.0, math.pi / 2), MarkedPoint(-4.0, 3.0, math.pi / 2)]
+
+
+@pytest.mark.parametrize("width", ["1", "2", "default"])
+def test_first_admissible_entry_of_an_equal_m_pair(width):
+    table = fresh_table(equal_m_row(), width)
+    d = table.d
+    assert d[0, 1] == d[0, 2] == 4.0 and d[1, 0] == d[2, 0] == 3.0
+    assert table.near.j[0, 0] == 1
+    # Germ 1 falls short of the meeting point; germ 2 reaches past it.
+    radii = np.array([1.0, 2.0, 3.5])
+    for model in (1, 2):
+        got = table.operator(radii, model)
+        assert got.tobytes() == dense_operator(table, model, radii).tobytes()
+        assert got[0] == 4.0
+
+
+@pytest.mark.parametrize("n", [0, 3, 80])
+def test_operator_on_a_list_of_width_zero(n):
+    # argmax takes no empty axis: every row is answered whole.
+    mps = sample_poisson(1.0, Rectangle.square(10.0), seed=6)
+    table = fresh_table(list(mps.points[:n]), "0")
+    assert table.near.j.shape == (n, 0)
+    radii = drawn_radii(table, 6)
+    for model in (1, 2):
+        for f in (radii, np.zeros(n)):
+            assert table.operator(f, model).tobytes() == dense_operator(table, model, f).tobytes()
+
+
+def test_first_step_on_a_small_set():
+    # Germ 1 sits on germ 0's carrier: d[1, 0] == 0, so Model 2 admits the
+    # pair at f = 0 and Model 1 does not.  A set of at most two list widths
+    # lists whole rows, and its first step runs no zero test.
+    table = PairTable(equal_m_row() + [MarkedPoint(5.0, 0.0, math.pi / 2)])
+    zeros = np.zeros(table.n)
+    assert table.d[3, 0] == 0.0
+    for model in (1, 2):
+        got = table.operator(zeros, model)
+        assert got.tobytes() == dense_operator(table, model, zeros).tobytes()
+    assert table.operator(zeros, 2)[0] == 5.0
+    assert np.isinf(table.operator(zeros, 1)).all()
+    assert "_on_carrier" not in vars(table)
+
+
+def test_first_step_reads_only_rows_on_a_carrier(far_tie):
+    # A 232-germ set (see conftest.far_tie) with a horizontal germ g and,
+    # 40 out along its carrier, a vertical one: d[far, g] == 0 exactly, and
+    # no list holds the pair.
+    points = list(far_tie.points) + [MarkedPoint(7.5, 7.25, 0.0), MarkedPoint(47.5, 7.25, math.pi / 2)]
+    table = PairTable(points)
+    assert table.n - 1 not in table.near.j[table.n - 2]
+    table.near
+    zeros = np.zeros(table.n)
+    rows = []
+    block = PairTable._block
+
+    def recorded(self, r, ws, c=None):
+        rows.append(np.array(r))
+        return block(self, r, ws, c)
+
+    with mock.patch.object(PairTable, "_block", recorded):
+        assert np.isinf(table.operator(zeros, 1)).all()
+        assert not rows
+        got = table.operator(zeros, 2)
+    on = np.nonzero(table._on_carrier)[0]
+    assert got.tobytes() == dense_operator(table, 2, zeros).tobytes()
+    assert table.n - 2 in on and np.isfinite(got).sum() == len(on)
+    # Whole rows computed for the first step: the zero test's confirmations
+    # and the operator's fallback, all of them rows on a carrier.
+    assert set(np.concatenate(rows).tolist()) <= set(on.tolist())
