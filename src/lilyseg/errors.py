@@ -45,7 +45,7 @@ class NotEnoughPoints(LilysegError):
 class ConditionDViolation(LilysegError):
     """The genericity condition on growth distances fails.
 
-    Carries the offending :class:`~lilyseg.pointprocess.ConditionDReport`
+    Carries the offending :class:`~lilyseg.geometry.ConditionDReport`
     as the ``report`` attribute, or ``None`` when the raiser has no report.
     """
 

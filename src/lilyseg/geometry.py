@@ -25,6 +25,50 @@ O(n^1.5) candidate pairs.  The one n x n array is the distance matrix
 ``PairTable.d``, built on first use for the oracle solvers in
 :mod:`lilyseg.solver` and the tests.
 
+Genericity
+----------
+The constructions ask that growth distances sharing a germ be distinct
+(condition D), and it matters only where the growth protocol compares two
+of them:
+
+* the stopping operator, for row i: Model-1 candidacy d[i, j] against
+  d[j, i]; the reach rule, radius R_j (itself a distance of germ j) against
+  d[j, i]; and the row minimum over the admissible stop values;
+* ``answer_pass`` (the stops and contacts that verification and
+  ``analyze`` share) compares stop values and contact distances with
+  radii of the same germs, but with a relative slack (1e-9 by default),
+  not exactly: two values within it show as an ambiguous stop or a
+  failed verification, which no screen at the tie tolerance rules out or
+  needs to;
+* the chain solver's confirmation compares a radius or a lower bound of
+  germ j with d[j, i], the reach rule again; the greedy sweep orders events
+  by time and then applies the reach rule.
+
+A fixed-point solve's answer rests only on the comparisons that one
+operator application makes at the fixed point f* the solve ends on.  If
+each of them clears the tie tolerance, exact arithmetic decides each the
+same way, so f* is the exact fixed point too, which is unique on a generic
+set; comparisons made at earlier iterates play no part.  So sampling
+(``sample_poisson``, ``sample_pinned``) draws and does not screen, and
+``solve_fixed_point`` iterates unscreened to T(f) == f, bit for bit, and
+then screens once, in a pass of its own (:meth:`PairTable.screen_answer`):
+each row over its near list or, where f lies past the list's ``bound`` or
+within a tie of it, over its whole row, as the operator reads it at f.  It
+checks the reach and candidacy comparisons over those pairs and the answer
+against every distance of its germ among them.  Any collinear pair fails
+the set (:meth:`PairTable.screen_collinear`, before the solve iterates);
+the near-list build records them all.  Ties are labelled as the full
+screen labels them, so every tie the solve reports is one the full screen
+reports, and a set the full screen passes solves exactly as it would
+unscreened.  A near tie that no comparison at the answer involves does not
+stop the solve; the set solves to a verified system.
+``check_condition_d``, ``require_condition_d``, ``ensure_condition_d``,
+``apply_t1``, ``apply_t2`` and the chain and greedy oracles keep the full
+screen (:meth:`PairTable.condition_d`): every germ's ~2n distances,
+sorted.  Solves at unit intensity that raise, under both models: 0 of 80
+on 40 windows of 45x45 (n ~ 2000, seeds k * 2**20, k = 1..40) and 0 of 24
+on 12 windows of 100x100 (n ~ 10^4, seeds 1-12).
+
 Conventions
 -----------
 * Directions ``theta`` and ``theta + pi`` are identified; the valid range
@@ -44,17 +88,28 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import IO, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import IdenticalGerms, InputTooLarge, InvalidInput, NegativeRadius
+from .errors import ConditionDViolation, IdenticalGerms, InputTooLarge, InvalidInput, NegativeRadius
 
 #: Two directions are parallel when |sin(theta1 - theta2)| falls below this.
 PARALLEL_TOL = 1e-12
 
 #: Default relative tolerance for contact predicates.
 CONTACT_TOL = 1e-9
+
+#: Relative tolerance for near-tie detection among growth distances, fixed
+#: everywhere but in ``PairTable.condition_d``, the diagnostic, which takes
+#: another.  Only distances sharing a germ are compared, and on the
+#: fixed-point path only those one operator application compares at the
+#: answer (see the module docstring): about n K values per realization,
+#: with K = 32 listed pairs per germ plus the few rows recomputed whole,
+#: rather than the full screen's 2n sorted distances per germ.  The
+#: tolerance sits well below the typical spacing yet two decades above
+#: double-precision noise in the intersection solves.
+TIE_TOL = 1e-12
 
 #: Largest |x| or |y| a :class:`PairTable` accepts.  Below it every span,
 #: the cell grid's ``_CELL_GERMS * w * h`` and every growth distance (at
@@ -367,6 +422,28 @@ class AnswerPass(NamedTuple):
     touching: np.ndarray  # pairs whose closed segments touch
 
 
+@dataclass(frozen=True)
+class ConditionDReport:
+    """Outcome of the genericity screen on a marked point set.
+
+    ``near_ties`` lists pairs of ordered index pairs, sharing a germ, whose
+    finite growth distances differ by less than the relative tolerance;
+    every collinear parallel pair forces an exact tie and is listed
+    separately.  The set passes iff both lists are empty.  Coincidences
+    between distances of four distinct germs are not flagged: no step of
+    the growth protocol ever compares them.
+
+    :meth:`PairTable.condition_d` reports every germ-sharing pair.  A
+    fixed-point solve (see the module docstring) raises with every collinear
+    pair, or with the ties among the comparisons its operator makes at the
+    answer: a subset of the full report's ties, with its labels and order.
+    """
+
+    passes: bool
+    near_ties: Tuple[Tuple[Tuple[int, int], Tuple[int, int], float], ...]
+    collinear_pairs: Tuple[Tuple[int, int], ...]
+
+
 def _workspace(pairs: int) -> Tuple[np.ndarray, np.ndarray]:
     """Scratch space for :meth:`PairTable._block` on up to ``pairs`` pairs."""
     return np.empty(6 * pairs), np.empty(2 * pairs, dtype=bool)
@@ -424,17 +501,17 @@ class PairTable:
     distances and collinear flags are computed once, for the kept pairs.
     Collinear pairs are found from the sorted directions, and the germs
     lying exactly on another's carrier (:attr:`_on_carrier`) from carrier
-    strips.  The full genericity screen sweeps every row (see
-    :mod:`lilyseg.pointprocess`); the fixed-point solve's screen of its
-    answer reads the list, and whole rows where the list cannot certify the
+    strips.  The full genericity screen (:meth:`condition_d`) sweeps every
+    row; the fixed-point solve's screen of its answer (:meth:`screen_answer`)
+    reads the list, and whole rows where the list cannot certify the
     answer.  Pairs are parallel by the fixed ``PARALLEL_TOL``, as in
     :func:`pair_geometry`.  A point set keeps its table (see
     :func:`shared_pair_table`).
 
-    The pair kernels (``operator`` and ``answer_pass``, and the fixed-point
-    solve's screen in :mod:`lilyseg.pointprocess`) read the near list: for
-    each row ``i`` the first ``_NEAR`` pairs in (m, j) order, ``m[i, j] =
-    max(d[i, j], d[j, i])``, and ``bound[i]``, the smallest ``m`` left out.
+    The pair kernels (``operator``, ``answer_pass`` and ``screen_answer``)
+    read the near list: for each row ``i`` the first ``_NEAR`` pairs in
+    (m, j) order, ``m[i, j] = max(d[i, j], d[j, i])``, and ``bound[i]``,
+    the smallest ``m`` left out.
     Every admissible stop and every contact of ``i`` beyond ``bound[i]``
     costs at least ``bound[i]``, so each kernel certifies the rows the list
     answers exactly, with the floating-point expression of its own test,
@@ -802,25 +879,12 @@ class PairTable:
         Raises :class:`InputTooLarge`, before allocating, when the matrix and
         the oracle solvers' work on it would not fit in physical memory.
         """
-        for _ in self._dense_rows():
-            pass
-        return self.__dict__["d"]
-
-    def _dense_rows(self):
-        """Every row, as :meth:`_row_blocks` yields them, each block copied
-        into a new n x n matrix that becomes :attr:`d` after the last one.
-
-        Lets one sweep both build ``d`` and feed another consumer of whole
-        rows (the oracles' full screen).  The memory guard of :attr:`d` runs
-        before the first block.
-        """
         n = self.n
         _require_memory(n, n * n * _PAIR_BYTES, "the dense pair table and the oracle solvers")
         d = np.empty((n, n))
         for slab in self._row_blocks(np.arange(n)):
             d[slab.rows[0]:slab.rows[-1] + 1] = slab.d
-            yield slab
-        self.__dict__["d"] = d
+        return d
 
     @cached_property
     def _near_slab(self) -> _Slab:
@@ -861,20 +925,19 @@ class PairTable:
             out[slab.rows] = _row_min(slab.admissible(radii, model), slab.values(model))
         return out
 
-    def answer_pass(self, radii: np.ndarray, model: Optional[int], tol: float) -> AnswerPass:
+    def answer_pass(self, radii: np.ndarray, model: int, tol: float) -> AnswerPass:
         """Explained stops and both contact tests at ``radii``, in one traversal.
 
         The near list is read over the rows whose list certifies both the
         stop matching and the contacts, and the other rows are computed
-        whole, once for both.  Stops are matched in Model ``model`` (none
-        when it is ``None``): admissible ``(i, j)`` whose stop value is
-        ``radii[i]`` within ``tol``, searched on rows with a finite radius
-        only.  Contacts are the all-pairs forms of
+        whole, once for both.  Stops are matched in Model ``model``:
+        admissible ``(i, j)`` whose stop value is ``radii[i]`` within
+        ``tol``, searched on rows with a finite radius only.  Contacts are
+        the all-pairs forms of
         :func:`relative_interiors_intersect` (``strict``) and
         :func:`segments_touch` (``touching``) at slack ``tol``.
         """
-        if model is not None:
-            _check_model(model)
+        _check_model(model)
         n, bound = self.n, self.near.bound
         finite = np.isfinite(radii)
         with np.errstate(invalid="ignore"):
@@ -884,11 +947,10 @@ class PairTable:
             # infinite m never touches, so a list with bound inf holds every
             # contact.
             listed = np.isinf(bound) | (finite & (radii * (1.0 + tol) < bound))
-            if model is not None:
-                # A stop left out of row i has a value >= bound[i]; once
-                # bound[i] clears the matching slack, the list holds every match.
-                listed &= ~finite | (bound - radii > tol * np.maximum(radii, 1.0))
-        stops, touching, strict = [np.zeros(0, dtype=np.intp)], [], []
+            # A stop left out of row i has a value >= bound[i]; once
+            # bound[i] clears the matching slack, the list holds every match.
+            listed &= ~finite | (bound - radii > tol * np.maximum(radii, 1.0))
+        stops, touching, strict = [], [], []
         # The list over every row, its hits kept on the rows it certifies, then whole rows.
         whole = zip(self._row_blocks(np.nonzero(~listed)[0]), repeat(None))
         for slab, keep in chain([(self._near_slab, listed)], whole):
@@ -916,15 +978,117 @@ class PairTable:
                 reach = ri + rj
                 inside |= collinear[a, b] & (np.isinf(reach) | (d + dT < reach * (1.0 - tol)))
             strict.append(touching[-1][inside])
-            if model is not None:
-                ri = radii[rows, None]
-                with np.errstate(invalid="ignore"):
-                    hit = slab.admissible(radii, model, tol) & (np.abs(slab.values(model) - ri) <= tol * np.maximum(ri, 1.0))
-                hit &= (finite[rows] if keep is None else keep & finite)[:, None]
-                a, b = _nonzero(hit)
-                stops.append(rows[a] * n + cols[a, b])
+            ri = radii[rows, None]
+            with np.errstate(invalid="ignore"):
+                hit = slab.admissible(radii, model, tol) & (np.abs(slab.values(model) - ri) <= tol * np.maximum(ri, 1.0))
+            hit &= (finite[rows] if keep is None else keep & finite)[:, None]
+            a, b = _nonzero(hit)
+            stops.append(rows[a] * n + cols[a, b])
         stop_i, stop_j = np.divmod(np.sort(np.concatenate(stops)), n)
         return AnswerPass(stop_i, stop_j, _unique(np.concatenate(strict)), _unique(np.concatenate(touching)))
+
+    def condition_d(self, tie_tol: float = TIE_TOL) -> ConditionDReport:
+        """The full genericity screen of the set at relative tolerance
+        ``tie_tol``, computed on first use and kept."""
+        cached = self._condition_reports.get(tie_tol)
+        if cached is not None:
+            return cached
+        n = self.n
+        found: dict = {}
+        values = None
+        # One sweep over row blocks.  Germ g takes part in the distances of row
+        # d[g, :] and column d[:, g]; a collinear pair's two orders are one
+        # distance (equal by construction), so its column copy is masked.  Any
+        # germ-sharing pair within tolerance sits inside a run of adjacent
+        # sub-tolerance gaps of its germ's sorted distances; find the germs with
+        # such gaps by blocks, vectorized, and verify them exactly while their
+        # rows are at hand.
+        for slab in self._row_blocks(np.arange(n)):
+            b = len(slab.rows)
+            if values is None:
+                values = np.empty((b, 2 * n))
+            v = values[:b]
+            v[:, :n], v[:, n:] = slab.d, slab.dT
+            if slab.collinear.any():
+                np.copyto(v[:, n:], np.inf, where=slab.collinear)
+            v.sort(axis=1)
+            for k in np.nonzero(_gaps(v, tie_tol).any(axis=1))[0].tolist():
+                _exact_ties(int(slab.rows[k]), slab.d[k], slab.dT[k], slab.collinear[k], tie_tol, found)
+        report = self._condition_reports[tie_tol] = _report(found, self.near.collinear_pairs.tolist())
+        return report
+
+    def screen_collinear(self) -> None:
+        """Raise :class:`ConditionDViolation` when the set has a collinear
+        pair: the fixed-point solve's screen before it iterates (see
+        :meth:`screen_answer` for the rest)."""
+        pairs = self.near.collinear_pairs
+        if len(pairs):
+            raise ConditionDViolation(_report({}, pairs.tolist()))
+
+    def screen_answer(self, model: int, radii: np.ndarray) -> None:
+        """Raise :class:`ConditionDViolation` on a near tie among the comparisons
+        one operator application makes at the fixed point ``radii``: over the
+        whole row where the answer lies past the near list's ``bound`` or within
+        a tie of it (a stop the list leaves out is worth at least ``bound``),
+        over the list elsewhere."""
+        bound = self.near.bound
+        whole = (radii > bound) | _close(radii, bound)
+        for slab in self._row_blocks(np.nonzero(whole)[0]):
+            self._screen_rows(model, slab, radii)
+        listed = np.nonzero(~whole)[0]
+        slab = self._near_slab
+        self._screen_rows(model, slab if len(listed) == self.n else slab.take(listed), radii)
+
+    def _screen_rows(self, model: int, slab: _Slab, radii: np.ndarray) -> None:
+        """Raise :class:`ConditionDViolation` on a near tie among the comparisons
+        the operator makes over ``slab``, the near list or a block of whole rows,
+        at the fixed point ``radii``, which is also its answer.
+
+        Row i compares, for each j in the slab, the reach ``radii[j]`` against
+        d[j, i] (skipping j's own stop on i, an element against itself) and, in
+        Model 1, d[i, j] against d[j, i]; its finite answer is checked against
+        every distance of germ i the slab holds, which covers the uniqueness of
+        the row minimum and every later reach comparison against it.  Ties are
+        labelled by ``_exact_ties`` on the compared distances alone, so each is
+        one the full screen reports.
+        """
+        n = self.n
+        d, dT, collinear = slab.d, slab.dT, slab.collinear
+        reach = radii[slab.cols]
+        with np.errstate(invalid="ignore"):
+            live = slab.candidates(model) & (reach > 0) & np.isfinite(reach)
+            live &= ~((reach == dT) & (dT >= d))
+        reach_hit = live & _close(reach, dT)
+        pair_hit = slab.transversal & _close(d, dT) if model == 1 else np.zeros_like(live)
+        answer = radii[slab.rows, None]
+        row_hit = slab.finite & _close(d, answer)
+        col_hit = slab.transversal & _close(dT, answer)
+        crowded = row_hit.sum(axis=1) + col_hit.sum(axis=1) > 1  # the answer itself is one
+        if not (reach_hit.any() or pair_hit.any() or crowded.any()):
+            return
+        found: dict = {}
+        inf = np.inf
+        for a in np.nonzero(pair_hit.any(axis=1) | crowded)[0].tolist():
+            # The flagged row's compared distances, written into n-vectors by column.
+            row, col, flags = np.full(n, inf), np.full(n, inf), np.zeros(n, dtype=bool)
+            cols = slab.cols[a]
+            row[cols] = np.where(pair_hit[a] | (row_hit[a] & crowded[a]), d[a], inf)
+            col[cols] = np.where(pair_hit[a] | (col_hit[a] & crowded[a]), dT[a], inf)
+            flags[cols] = collinear[a]
+            _exact_ties(int(slab.rows[a]), row, col, flags, TIE_TOL, found)
+        a, b = _nonzero(reach_hit)
+        germs = slab.cols[a, b]
+        for other in self._row_blocks(np.unique(germs)):
+            for k, g in enumerate(other.rows.tolist()):
+                # Germ g's compared distances: its radius's own element (every
+                # distance of g equal to it) and each d[g, i] held against it.
+                row, col = other.d[k], other.dT[k]
+                keep_row, keep_col = row == radii[g], col == radii[g]
+                keep_row[slab.rows[a[germs == g]]] = True
+                _exact_ties(g, np.where(keep_row, row, inf), np.where(keep_col, col, inf),
+                            other.collinear[k], TIE_TOL, found)
+        if found:
+            raise ConditionDViolation(_report(found, ()), "growth distances compared by the solve are not distinct")
 
 
 def _nonzero(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -966,6 +1130,62 @@ def _row_min(ok: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(ok, values, np.inf).min(axis=1, initial=np.inf)
 
 
+def _report(found: dict, collinear_pairs: Sequence[Sequence[int]]) -> ConditionDReport:
+    near = tuple(found[key] for key in sorted(found))
+    pairs = tuple(map(tuple, collinear_pairs))
+    return ConditionDReport(passes=not near and not pairs, near_ties=near, collinear_pairs=pairs)
+
+
+def _gaps(v: np.ndarray, tie_tol: float) -> np.ndarray:
+    """The near-tie rule, on values sorted along the last axis: entry k is
+    ``v[..., k + 1] - v[..., k] < tie_tol * max(v[..., k + 1], 1)``."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.diff(v) < tie_tol * np.maximum(v[..., 1:], 1.0)
+
+
+def _exact_ties(g: int, row: np.ndarray, col: np.ndarray, collinear: np.ndarray, tie_tol: float, found: dict) -> None:
+    """Add germ ``g``'s near ties to ``found``, given its row ``d[g, :]``,
+    column ``d[:, g]`` and collinear partners.
+
+    A tie between (g, j) and (j, g) shows under both germs; it is keyed
+    once.  Entries are ordered by value, then by row-major index, as one
+    stable sort of all distances would order them.
+    """
+    n = len(row)
+    r = np.nonzero(np.isfinite(row))[0]
+    c = np.nonzero(np.isfinite(col) & ~collinear)[0]
+    pair = collinear[r]  # labelled (min, max), like the collinear_pairs
+    ii = np.concatenate((np.where(pair, np.minimum(g, r), g), c))
+    jj = np.concatenate((np.where(pair, np.maximum(g, r), r), np.full(len(c), g)))
+    values = np.concatenate((row[r], col[c]))
+    order = np.lexsort((ii * n + jj, values))
+    values, ii, jj = values[order], ii[order], jj[order]
+    hits = np.nonzero(_gaps(values, tie_tol))[0]
+    runs: List[Tuple[int, int]] = []
+    for k in hits.tolist():
+        if runs and k <= runs[-1][1]:
+            runs[-1] = (runs[-1][0], k + 1)
+        else:
+            runs.append((k, k + 1))
+    for lo, hi in runs:
+        for a in range(lo, hi + 1):
+            for b in range(a + 1, hi + 1):
+                delta = float(values[b] - values[a])
+                if delta >= tie_tol * max(float(values[b]), 1.0):
+                    continue
+                ea, eb = (int(ii[a]), int(jj[a])), (int(ii[b]), int(jj[b]))
+                found[(float(values[a]), ea, float(values[b]), eb)] = (ea, eb, delta)
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where ``a`` and ``b`` are a near tie by the screen's rule (false on ``inf``)."""
+    with np.errstate(invalid="ignore"):
+        gap = np.subtract(a, b)
+        scale = np.maximum(a, b)
+        np.maximum(scale, 1.0, out=scale)
+        return np.less(np.abs(gap, out=gap), np.multiply(scale, TIE_TOL, out=scale))
+
+
 def _require_memory(n: int, need: int, use: str) -> None:
     """Raise :class:`InputTooLarge` when ``use`` on ``n`` points, ``need``
     bytes, exceeds physical memory; no guard when its size is unknown."""
@@ -978,6 +1198,15 @@ def _require_memory(n: int, need: int, use: str) -> None:
             f"{n} points need {need / 2**30:.1f} GiB for {use}, "
             f"more than the {memory / 2**30:.1f} GiB of physical memory"
         )
+
+
+def _write_text(fp: Union[str, IO[str]], text: str) -> None:
+    """Write ``text`` to the open file ``fp``, or to a new file at the path ``fp``."""
+    if hasattr(fp, "write"):
+        fp.write(text)
+    else:
+        with open(fp, "w") as fh:
+            fh.write(text)
 
 
 def _check_model(model: int) -> None:

@@ -1,52 +1,13 @@
-"""Marked Poisson sampling, genericity checking, and realization files.
+"""Marked point sets: windows, marks, Poisson sampling, and realization files.
 
 Sampling draws a Poisson number of germs uniformly in a rectangular or disk
 window with directions i.i.d. uniform on (0, pi), fully determined by a
-64-bit seed.  User-supplied sets that fail the genericity screen are a hard
-error unless explicitly jittered.
-
-Genericity asks that growth distances sharing a germ be distinct, and it
-matters only where the growth protocol compares two of them:
-
-* the stopping operator, for row i: Model-1 candidacy d[i, j] against
-  d[j, i]; the reach rule, radius R_j (itself a distance of germ j) against
-  d[j, i]; and the row minimum over the admissible stop values;
-* ``answer_pass`` (the stops and contacts that verification and
-  ``analyze`` share) compares stop values and contact distances with
-  radii of the same germs, but with a relative slack (1e-9 by default),
-  not exactly: two values within it show as an ambiguous stop or a
-  failed verification, which no screen at the tie tolerance rules out or
-  needs to;
-* the chain solver's confirmation compares a radius or a lower bound of
-  germ j with d[j, i], the reach rule again; the greedy sweep orders events
-  by time and then applies the reach rule.
-
-A fixed-point solve's answer rests only on the comparisons that one
-operator application makes at the fixed point f* the solve ends on.  If
-each of them clears the tie tolerance, exact arithmetic decides each the
-same way, so f* is the exact fixed point too, which is unique on a generic
-set; comparisons made at earlier iterates play no part.  So sampling
-(``sample_poisson``, ``sample_pinned``) draws and does not screen, and
-``solve_fixed_point`` iterates unscreened to T(f) == f, bit for bit, and
-then screens once, in a pass of its own (``_screen_answer``): each row
-over its near list or, where f lies past the list's ``bound`` or within a
-tie of it, over its whole row, as the operator reads it at f.  It checks
-the reach and candidacy comparisons over those pairs and the answer
-against every distance of its germ among them.  Any collinear pair fails
-the set; the near-list build (see :class:`~lilyseg.geometry.PairTable`)
-records them all.  Ties are labelled as the full screen labels them, so
-every tie the solve reports is one the full screen reports, and a set the
-full screen passes solves exactly as it would unscreened.  A near tie that
-no comparison at the answer involves does not stop the solve; the set
-solves to a verified system.
-``check_condition_d``, ``require_condition_d``, ``ensure_condition_d``,
-``apply_t1``, ``apply_t2`` and the chain and greedy oracles keep the full
-screen: every germ's ~2n distances, sorted.
-
-A draw in which two germs coincide is resampled under an incremented
-attempt counter and logged.  Solves at unit intensity that raise, under
-both models: 0 of 80 on 40 windows of 45x45 (n ~ 2000, seeds k * 2**20,
-k = 1..40) and 0 of 24 on 12 windows of 100x100 (n ~ 10^4, seeds 1-12).
+64-bit seed.  A draw is not screened for genericity; both screens, the full
+one and the fixed-point solve's of its answer, are
+:class:`~lilyseg.geometry.PairTable` methods (see :mod:`lilyseg.geometry`).
+User-supplied sets that fail the full screen are a hard error unless
+explicitly jittered (``ensure_condition_d``).  A draw in which two germs
+coincide is resampled under an incremented attempt counter and logged.
 """
 
 from __future__ import annotations
@@ -55,7 +16,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,23 +28,11 @@ from .errors import (
     InvalidWindow,
     NotEnoughPoints,
 )
-from .geometry import MarkedPoint, PairTable, _nonzero, shared_pair_table
+from .geometry import TIE_TOL, ConditionDReport, MarkedPoint, PairTable, _write_text, shared_pair_table
 
 log = logging.getLogger(__name__)
 
 REALIZATION_SCHEMA = "1"
-
-#: Relative tolerance for near-tie detection among growth distances, fixed
-#: everywhere but in ``check_condition_d``, the diagnostic, which takes
-#: another.  Only distances sharing a germ are compared, and on the
-#: fixed-point path only those one operator application compares at the
-#: answer (see the module docstring): about n K values per realization,
-#: with K = 32 listed pairs per germ plus the few rows recomputed whole,
-#: rather than the full screen's 2n sorted distances per germ.  The
-#: tolerance sits well below the typical spacing yet two decades above
-#: double-precision noise in the intersection solves.
-TIE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -264,203 +213,17 @@ class MarkedPointSet:
         return self.provenance.window if self.provenance is not None else None
 
 
-@dataclass(frozen=True)
-class ConditionDReport:
-    """Outcome of the genericity screen on a marked point set.
-
-    ``near_ties`` lists pairs of ordered index pairs, sharing a germ, whose
-    finite growth distances differ by less than the relative tolerance;
-    every collinear parallel pair forces an exact tie and is listed
-    separately.  The set passes iff both lists are empty.  Coincidences
-    between distances of four distinct germs are not flagged: no step of
-    the growth protocol ever compares them.
-
-    ``check_condition_d`` reports every germ-sharing pair.  A fixed-point
-    solve (see the module docstring) raises with every collinear pair, or
-    with the ties among the comparisons its operator makes at the answer: a
-    subset of the full report's ties, with its labels and order.
-    """
-
-    passes: bool
-    near_ties: Tuple[Tuple[Tuple[int, int], Tuple[int, int], float], ...]
-    collinear_pairs: Tuple[Tuple[int, int], ...]
-
-
-def _condition_d_from_table(table: PairTable, tie_tol: float, rows=None) -> ConditionDReport:
-    """The full screen of a table, kept on it; ``rows``, when given, is the
-    sweep of every row to read (see ``PairTable._dense_rows``)."""
-    cached = table._condition_reports.get(tie_tol)
-    if cached is not None:
-        return cached
-    n = table.n
-    found: dict = {}
-    values = None
-    # One sweep over row blocks.  Germ g takes part in the distances of row
-    # d[g, :] and column d[:, g]; a collinear pair's two orders are one
-    # distance (equal by construction), so its column copy is masked.  Any
-    # germ-sharing pair within tolerance sits inside a run of adjacent
-    # sub-tolerance gaps of its germ's sorted distances; find the germs with
-    # such gaps by blocks, vectorized, and verify them exactly while their
-    # rows are at hand.
-    for slab in table._row_blocks(np.arange(n)) if rows is None else rows:
-        b = len(slab.rows)
-        if values is None:
-            values = np.empty((b, 2 * n))
-        v = values[:b]
-        v[:, :n], v[:, n:] = slab.d, slab.dT
-        if slab.collinear.any():
-            np.copyto(v[:, n:], np.inf, where=slab.collinear)
-        v.sort(axis=1)
-        for k in np.nonzero(_gaps(v, tie_tol).any(axis=1))[0].tolist():
-            _exact_ties(int(slab.rows[k]), slab.d[k], slab.dT[k], slab.collinear[k], tie_tol, found)
-    report = table._condition_reports[tie_tol] = _report(found, table.near.collinear_pairs.tolist())
-    return report
-
-
-def _report(found: dict, collinear_pairs: Sequence[Sequence[int]]) -> ConditionDReport:
-    near = tuple(found[key] for key in sorted(found))
-    pairs = tuple(map(tuple, collinear_pairs))
-    return ConditionDReport(passes=not near and not pairs, near_ties=near, collinear_pairs=pairs)
-
-
-def _gaps(v: np.ndarray, tie_tol: float) -> np.ndarray:
-    """The near-tie rule, on values sorted along the last axis: entry k is
-    ``v[..., k + 1] - v[..., k] < tie_tol * max(v[..., k + 1], 1)``."""
-    with np.errstate(invalid="ignore"):  # inf - inf
-        return np.diff(v) < tie_tol * np.maximum(v[..., 1:], 1.0)
-
-
-def _exact_ties(g: int, row: np.ndarray, col: np.ndarray, collinear: np.ndarray, tie_tol: float, found: dict) -> None:
-    """Add germ ``g``'s near ties to ``found``, given its row ``d[g, :]``,
-    column ``d[:, g]`` and collinear partners.
-
-    A tie between (g, j) and (j, g) shows under both germs; it is keyed
-    once.  Entries are ordered by value, then by row-major index, as one
-    stable sort of all distances would order them.
-    """
-    n = len(row)
-    r = np.nonzero(np.isfinite(row))[0]
-    c = np.nonzero(np.isfinite(col) & ~collinear)[0]
-    pair = collinear[r]  # labelled (min, max), like the collinear_pairs
-    ii = np.concatenate((np.where(pair, np.minimum(g, r), g), c))
-    jj = np.concatenate((np.where(pair, np.maximum(g, r), r), np.full(len(c), g)))
-    values = np.concatenate((row[r], col[c]))
-    order = np.lexsort((ii * n + jj, values))
-    values, ii, jj = values[order], ii[order], jj[order]
-    hits = np.nonzero(_gaps(values, tie_tol))[0]
-    runs: List[Tuple[int, int]] = []
-    for k in hits.tolist():
-        if runs and k <= runs[-1][1]:
-            runs[-1] = (runs[-1][0], k + 1)
-        else:
-            runs.append((k, k + 1))
-    for lo, hi in runs:
-        for a in range(lo, hi + 1):
-            for b in range(a + 1, hi + 1):
-                delta = float(values[b] - values[a])
-                if delta >= tie_tol * max(float(values[b]), 1.0):
-                    continue
-                ea, eb = (int(ii[a]), int(jj[a])), (int(ii[b]), int(jj[b]))
-                found[(float(values[a]), ea, float(values[b]), eb)] = (ea, eb, delta)
-
-
-def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where ``a`` and ``b`` are a near tie by the screen's rule (false on ``inf``)."""
-    with np.errstate(invalid="ignore"):
-        gap = np.subtract(a, b)
-        scale = np.maximum(a, b)
-        np.maximum(scale, 1.0, out=scale)
-        return np.less(np.abs(gap, out=gap), np.multiply(scale, TIE_TOL, out=scale))
-
-
-def _screen_answer(table: PairTable, model: int, radii: np.ndarray) -> None:
-    """Raise :class:`ConditionDViolation` on a near tie among the comparisons
-    one operator application makes at the fixed point ``radii``: over the
-    whole row where the answer lies past the near list's ``bound`` or within
-    a tie of it (a stop the list leaves out is worth at least ``bound``),
-    over the list elsewhere."""
-    bound = table.near.bound
-    whole = (radii > bound) | _close(radii, bound)
-    for slab in table._row_blocks(np.nonzero(whole)[0]):
-        _screen_rows(table, model, slab, radii)
-    listed = np.nonzero(~whole)[0]
-    slab = table._near_slab
-    _screen_rows(table, model, slab if len(listed) == table.n else slab.take(listed), radii)
-
-
-def _screen_rows(table: PairTable, model: int, slab, radii: np.ndarray) -> None:
-    """Raise :class:`ConditionDViolation` on a near tie among the comparisons
-    the operator makes over ``slab``, the near list or a block of whole rows,
-    at the fixed point ``radii``, which is also its answer.
-
-    Row i compares, for each j in the slab, the reach ``radii[j]`` against
-    d[j, i] (skipping j's own stop on i, an element against itself) and, in
-    Model 1, d[i, j] against d[j, i]; its finite answer is checked against
-    every distance of germ i the slab holds, which covers the uniqueness of
-    the row minimum and every later reach comparison against it.  Ties are
-    labelled by ``_exact_ties`` on the compared distances alone, so each is
-    one the full screen reports.
-    """
-    n = table.n
-    d, dT, collinear = slab.d, slab.dT, slab.collinear
-    reach = radii[slab.cols]
-    with np.errstate(invalid="ignore"):
-        live = slab.candidates(model) & (reach > 0) & np.isfinite(reach)
-        live &= ~((reach == dT) & (dT >= d))
-    reach_hit = live & _close(reach, dT)
-    pair_hit = slab.transversal & _close(d, dT) if model == 1 else np.zeros_like(live)
-    answer = radii[slab.rows, None]
-    row_hit = slab.finite & _close(d, answer)
-    col_hit = slab.transversal & _close(dT, answer)
-    crowded = row_hit.sum(axis=1) + col_hit.sum(axis=1) > 1  # the answer itself is one
-    if not (reach_hit.any() or pair_hit.any() or crowded.any()):
-        return
-    found: dict = {}
-    inf = np.inf
-    for a in np.nonzero(pair_hit.any(axis=1) | crowded)[0].tolist():
-        # The flagged row's compared distances, written into n-vectors by column.
-        row, col, flags = np.full(n, inf), np.full(n, inf), np.zeros(n, dtype=bool)
-        cols = slab.cols[a]
-        row[cols] = np.where(pair_hit[a] | (row_hit[a] & crowded[a]), d[a], inf)
-        col[cols] = np.where(pair_hit[a] | (col_hit[a] & crowded[a]), dT[a], inf)
-        flags[cols] = collinear[a]
-        _exact_ties(int(slab.rows[a]), row, col, flags, TIE_TOL, found)
-    a, b = _nonzero(reach_hit)
-    germs = slab.cols[a, b]
-    for other in table._row_blocks(np.unique(germs)):
-        for k, g in enumerate(other.rows.tolist()):
-            # Germ g's compared distances: its radius's own element (every
-            # distance of g equal to it) and each d[g, i] held against it.
-            row, col = other.d[k], other.dT[k]
-            keep_row, keep_col = row == radii[g], col == radii[g]
-            keep_row[slab.rows[a[germs == g]]] = True
-            _exact_ties(g, np.where(keep_row, row, inf), np.where(keep_col, col, inf),
-                        other.collinear[k], TIE_TOL, found)
-    if found:
-        raise ConditionDViolation(_report(found, ()), "growth distances compared by the solve are not distinct")
-
-
 def check_condition_d(point_set: MarkedPointSet, tie_tol: float = TIE_TOL) -> ConditionDReport:
     """Screen a set for mutually distinct finite growth distances."""
-    return _condition_d_from_table(shared_pair_table(point_set), tie_tol)
+    return shared_pair_table(point_set).condition_d(tie_tol)
 
 
 def require_condition_d(point_set: MarkedPointSet) -> PairTable:
     """Return the pair table, raising :class:`ConditionDViolation` on failure."""
     table = shared_pair_table(point_set)
-    report = _condition_d_from_table(table, TIE_TOL)
+    report = table.condition_d()
     if not report.passes:
         raise ConditionDViolation(report)
-    return table
-
-
-def _fixed_point_screen(point_set: MarkedPointSet) -> PairTable:
-    """The table of a set with no collinear pair (see ``_screen_answer`` for
-    the rest of the fixed-point solve's screen)."""
-    table = shared_pair_table(point_set)
-    pairs = table.near.collinear_pairs
-    if len(pairs):
-        raise ConditionDViolation(_report({}, pairs.tolist()))
     return table
 
 
@@ -524,14 +287,14 @@ def _draw(
         thetas = marks.sample(rng, count)
     else:
         thetas = rng.uniform(0.0, math.pi, count)
-    germs = list(zip(xs.tolist(), ys.tolist()))
-    if len(set(germs)) != count:
+    try:
+        return MarkedPointSet(
+            tuple(MarkedPoint(x, y, t) for x, y, t in zip(xs.tolist(), ys.tolist(), thetas.tolist())),
+            provenance=Provenance(seed=int(seed), intensity=float(intensity), window=window),
+        )
+    except IdenticalGerms:
         log.warning("duplicate germ sampled (seed=%d attempt=%d); resampling", seed, attempt)
         return None
-    return MarkedPointSet(
-        tuple(MarkedPoint(x, y, t) for (x, y), t in zip(germs, thetas.tolist())),
-        provenance=Provenance(seed=int(seed), intensity=float(intensity), window=window),
-    )
 
 
 def sample_poisson(
@@ -586,6 +349,12 @@ def n_closest_to_origin(
     return MarkedPointSet((pin, *chosen), provenance=point_set.provenance)
 
 
+def _pinned_disk_radius(intensity: float, n_neighbors: int) -> float:
+    """The default disk of a pinned draw: three times the area that holds
+    ``n_neighbors + 1`` expected points."""
+    return math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
+
+
 def sample_pinned(
     intensity: float,
     n_neighbors: int,
@@ -605,7 +374,7 @@ def sample_pinned(
     """
     _check_intensity(intensity)
     if disk_radius is None:
-        disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
+        disk_radius = _pinned_disk_radius(intensity, n_neighbors)
     window = Disk(0.0, 0.0, disk_radius)
     duplicates = False
     for attempt in range(32):
@@ -651,12 +420,7 @@ def realization_from_json(obj: dict) -> MarkedPointSet:
 
 
 def write_realization(point_set: MarkedPointSet, fp: Union[str, IO[str]]) -> None:
-    payload = json.dumps(realization_to_json(point_set), indent=2) + "\n"
-    if hasattr(fp, "write"):
-        fp.write(payload)
-    else:
-        with open(fp, "w") as fh:
-            fh.write(payload)
+    _write_text(fp, json.dumps(realization_to_json(point_set), indent=2) + "\n")
 
 
 def read_realization(path: str) -> MarkedPointSet:

@@ -12,6 +12,7 @@ import math
 from typing import IO, Optional, Tuple, Union
 
 from .errors import InvalidInput
+from .geometry import _write_text
 from .pointprocess import Rectangle, Window
 from .solver import Solution
 from .structure import StructureReport, analyze
@@ -132,9 +133,4 @@ def render_svg(
 
 
 def write_svg(solution: Solution, fp: Union[str, IO[str]], **kwargs) -> None:
-    payload = render_svg(solution, **kwargs)
-    if hasattr(fp, "write"):
-        fp.write(payload)
-    else:
-        with open(fp, "w") as fh:
-            fh.write(payload)
+    _write_text(fp, render_svg(solution, **kwargs))

@@ -27,11 +27,10 @@ touching pairs) besides one operator application; a solver's verified
 ``Solution`` keeps that pass, and ``stopping_map`` and ``analyze`` read it
 instead of traversing the pairs again.  The chain and greedy solvers and
 ``find_descending_chain`` are oracles: they read only the dense distance
-matrix ``PairTable.d``, which is built on first use, in the same row sweep
-as the oracles' full genericity screen, and raises
-:class:`~lilyseg.errors.InputTooLarge` when it would not fit in memory,
-and they apply the stopping rule through their own whole-matrix helpers
-below, not through the kernels they check.
+matrix ``PairTable.d``, which is built on first use, before the oracles'
+full genericity screen, and raises :class:`~lilyseg.errors.InputTooLarge`
+when it would not fit in memory, and they apply the stopping rule through
+their own whole-matrix helpers below, not through the kernels they check.
 
 Model semantics, fixed throughout the package:
 
@@ -61,17 +60,8 @@ from .errors import (
     RadiiMismatch,
     VerificationFailed,
 )
-from .geometry import AnswerPass, PairTable, _check_model, _key_pairs, shared_pair_table
-from .pointprocess import (
-    TIE_TOL,
-    MarkedPointSet,
-    _condition_d_from_table,
-    _fixed_point_screen,
-    _screen_answer,
-    realization_from_json,
-    realization_to_json,
-    require_condition_d,
-)
+from .geometry import AnswerPass, PairTable, _check_model, _key_pairs, _write_text, shared_pair_table
+from .pointprocess import MarkedPointSet, realization_from_json, realization_to_json, require_condition_d
 
 SOLUTION_SCHEMA = "1"
 
@@ -103,7 +93,7 @@ class RadiiAssignment:
 
     @staticmethod
     def from_array(arr) -> "RadiiAssignment":
-        return RadiiAssignment(tuple(float(v) for v in arr))
+        return RadiiAssignment(tuple(np.asarray(arr, dtype=float).tolist()))
 
     def finite_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if math.isfinite(v))
@@ -210,16 +200,17 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
     before the verification: any collinear pair fails the set, and so does
     a near tie among the comparisons one operator application makes at f,
     over each germ's near list, or over its whole row where the list cannot
-    certify the answer (see :mod:`lilyseg.pointprocess`).  A near tie there
+    certify the answer (see :mod:`lilyseg.geometry`).  A near tie there
     raises :class:`~lilyseg.errors.ConditionDViolation`; any tie reported
     is one ``check_condition_d`` reports too.  A set whose near list and
     solves would not fit in physical memory raises
     :class:`~lilyseg.errors.InputTooLarge` before any pair is computed.
     """
     _check_model(model)
-    table = _fixed_point_screen(point_set)
+    table = shared_pair_table(point_set)
+    table.screen_collinear()
     radii, steps = _solve_fixed_point_array(table, model)
-    _screen_answer(table, model, radii)
+    table.screen_answer(model, radii)
     solution = Solution(point_set, model, RadiiAssignment.from_array(radii), METHOD_FIXED_POINT, steps)
     _require_verified(solution, table)
     return solution
@@ -398,14 +389,10 @@ def _trace_from(state: _ChainState, start: int, step_budget: int) -> ChainTrace:
 def _oracle_table(point_set: MarkedPointSet) -> PairTable:
     """The table with its dense ``d`` built, after the full screen.
 
-    One sweep over every row fills ``d`` and feeds the screen.  ``d`` is
-    allocated first, so an oversized set raises :class:`InputTooLarge`
+    ``d`` is built first, so an oversized set raises :class:`InputTooLarge`
     before the O(n^2) screen runs.
     """
-    table = shared_pair_table(point_set)
-    if "d" not in vars(table):
-        _condition_d_from_table(table, TIE_TOL, table._dense_rows())
-    table.d  # built by now, unless a screen kept from an earlier call read no row
+    shared_pair_table(point_set).d
     return require_condition_d(point_set)
 
 
@@ -692,12 +679,7 @@ def solution_from_json(obj: dict) -> Solution:
 
 
 def write_solution(solution: Solution, fp: Union[str, IO[str]]) -> None:
-    payload = json.dumps(solution_to_json(solution), indent=2) + "\n"
-    if hasattr(fp, "write"):
-        fp.write(payload)
-    else:
-        with open(fp, "w") as fh:
-            fh.write(payload)
+    _write_text(fp, json.dumps(solution_to_json(solution), indent=2) + "\n")
 
 
 def read_solution(path: str) -> Solution:

@@ -40,7 +40,7 @@ from .errors import (
     LilysegError,
 )
 from .geometry import _check_model
-from .pointprocess import Disk, Rectangle, Window, _check_intensity, sample_pinned, sample_poisson
+from .pointprocess import Disk, Rectangle, Window, _check_intensity, _pinned_disk_radius, sample_pinned, sample_poisson
 from .solver import Solution, solve_fixed_point
 from .structure import StructureReport, analyze, interior_certified
 
@@ -498,7 +498,7 @@ def pinned_origin_radii(
         raise InvalidInput(f"n_neighbors must be positive, got {n_neighbors}")
     _check_replications(replications)
     if disk_radius is None:
-        disk_radius = math.sqrt(3.0 * (n_neighbors + 1) / (math.pi * intensity))
+        disk_radius = _pinned_disk_radius(intensity, n_neighbors)
     job = partial(_pinned_radius, model, intensity, n_neighbors, disk_radius, censor_escapes)
     kept, _ = _replicate(job, range(base_seed, base_seed + replications))
     return np.array(kept, dtype=float)

@@ -130,7 +130,7 @@ def reference_report(solution):
     stops = dict(zip(found.stop_i.tolist(), found.stop_j.tolist()))
     assert sorted(stops) == list(solution.radii.finite_indices())
     edges = {(min(i, j), max(i, j)) for i, j in stops.items()}
-    assert edges == set(_key_pairs(table.answer_pass(radii, None, 1e-9).touching, n))
+    assert edges == set(_key_pairs(found.touching, n))
     parent = list(range(n))
 
     def find(i):
@@ -229,19 +229,19 @@ def _pairs(keys, n):
 @given(point_lists(), st.integers(min_value=0, max_value=2**32 - 1), NEAR_WIDTHS)
 @settings(max_examples=150, deadline=None)
 def test_one_pass_matches_dense_reference(points, seed, width):
-    # With a model the pass computes whole every row either test cannot
-    # certify from the list, without one only the contact rows: the answers
-    # are the same.
+    # The pass computes whole every row either test cannot certify from the
+    # list, the stop matching's or the contacts': under either model the
+    # contacts are the same.
     table = fresh_table(points, width)
     radii = drawn_radii(table, seed)
     finite = np.isfinite(radii)[:, None]
     for tol in (0.0, CONTACT_TOL):
         strict, touching = dense_cover(table, radii, True, tol), dense_cover(table, radii, False, tol)
-        for model in (None, 1, 2):
+        for model in (1, 2):
             found = table.answer_pass(radii, model, tol)
             assert _pairs(found.strict, table.n) == strict
             assert _pairs(found.touching, table.n) == touching
-            want = np.nonzero(dense_stop_matches(table, radii, model, tol) & finite) if model else ([], [])
+            want = np.nonzero(dense_stop_matches(table, radii, model, tol) & finite)
             assert found.stop_i.tolist() == list(want[0]) and found.stop_j.tolist() == list(want[1])
 
 

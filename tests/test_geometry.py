@@ -243,8 +243,9 @@ def test_table_cover_matches_scalar_predicates(pair, pick_a, pick_b):
     table = PairTable((a, b))
     for strict, scalar in ((True, relative_interiors_intersect), (False, segments_touch)):
         expected = [(0, 1)] if scalar(sa, sb, CONTACT_TOL) else []
-        found = table.answer_pass(radii, None, CONTACT_TOL)
-        assert _key_pairs(found.strict if strict else found.touching, 2) == expected
+        for model in (1, 2):
+            found = table.answer_pass(radii, model, CONTACT_TOL)
+            assert _key_pairs(found.strict if strict else found.touching, 2) == expected
 
 
 @pytest.mark.parametrize("third, expected", [(1.0, []), (sys.float_info.max, [(0, 2), (1, 2)])])
@@ -255,9 +256,10 @@ def test_contacts_at_the_largest_finite_radius(third, expected):
     big = sys.float_info.max
     table = PairTable((mp(0.0, 0.0, 0.0), mp(0.0, 1.0, 0.0), mp(5.0, 5.0, 1.0)))
     with np.errstate(over="ignore"):
-        found = table.answer_pass(np.array([big, big, third]), None, CONTACT_TOL)
-    assert _key_pairs(found.touching, 3) == expected
-    assert _key_pairs(found.strict, 3) == expected
+        found = [table.answer_pass(np.array([big, big, third]), model, CONTACT_TOL) for model in (1, 2)]
+    for contacts in found:
+        assert _key_pairs(contacts.touching, 3) == expected
+        assert _key_pairs(contacts.strict, 3) == expected
 
 
 def _dense_table(points, angle_tol=PARALLEL_TOL):

@@ -37,10 +37,10 @@ from lilyseg import (
     solve_greedy_oracle,
     verify_gmhs,
 )
-from lilyseg import geometry, pointprocess, solver
+from lilyseg import geometry, solver
 from lilyseg.errors import NonConvergence
 from lilyseg.geometry import PARALLEL_TOL, PairTable, shared_pair_table
-from lilyseg.pointprocess import TIE_TOL, _condition_d_from_table
+from lilyseg.pointprocess import TIE_TOL
 
 from conftest import planted_pair
 
@@ -129,7 +129,7 @@ def screened(points, width):
         mps = MarkedPointSet(tuple(points), Provenance(next(_fresh), 1.0, Rectangle.square(1.0)))
         table = shared_pair_table(mps)
         table.near
-    return mps, table, _condition_d_from_table(table, TIE_TOL)
+    return mps, table, table.condition_d(TIE_TOL)
 
 
 @given(tie_prone_lists(), st.sampled_from([0, 1, 2, 32]))
@@ -252,10 +252,10 @@ def test_solve_screens_one_operator_application():
         seen.append((slab.rows.copy(), slab.cols.shape[1], radii.copy()))
         return screen_rows(table, model, slab, radii)
 
-    screen_rows = pointprocess._screen_rows
+    screen_rows = PairTable._screen_rows
     for model in (1, 2):
         seen.clear()
-        with mock.patch.object(geometry, "_NEAR", 0), mock.patch.object(pointprocess, "_screen_rows", record):
+        with mock.patch.object(geometry, "_NEAR", 0), mock.patch.object(PairTable, "_screen_rows", record):
             fresh = MarkedPointSet(mps.points, mps.provenance)
             solution = solve_fixed_point(fresh, model)
         assert solution.iterations > 2

@@ -192,22 +192,22 @@ def fresh_table(points, width):
 def test_kernels_match_dense_reference(points, seed, width):
     table = fresh_table(points, width)
     radii = drawn_radii(table, seed)
+    tols = (0.0, CONTACT_TOL)
+    covers = {(strict, tol): dense_cover(table, radii, strict, tol) for strict in (True, False) for tol in tols}
     for model in (1, 2):
         got = table.operator(radii, model)
         assert got.tobytes() == dense_operator(table, model, radii).tobytes()
-        for tol in (0.0, CONTACT_TOL):
+        for tol in tols:
             mask = dense_stop_matches(table, radii, model, tol) & np.isfinite(radii)[:, None]
             found = table.answer_pass(radii, model, tol)
             i, j = found.stop_i, found.stop_j
             want_i, want_j = np.nonzero(mask)
             assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
+            for strict in (True, False):
+                pairs = _key_pairs(found.strict if strict else found.touching, table.n)
+                assert pairs == covers[strict, tol]
         report = _verify_with_table(table, radii, model, CONTACT_TOL)
         assert repr(report) == repr(dense_verify(table, radii, model, CONTACT_TOL))
-    for strict in (True, False):
-        for tol in (0.0, CONTACT_TOL):
-            found = table.answer_pass(radii, None, tol)
-            got = _key_pairs(found.strict if strict else found.touching, table.n)
-            assert got == dense_cover(table, radii, strict, tol)
 
 
 @given(point_lists(), NEAR_WIDTHS, st.sampled_from([1, 2]))

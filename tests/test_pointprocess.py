@@ -122,6 +122,27 @@ class TestSampling:
         with pytest.raises(InvalidInput):
             TwoAtomMarks(theta1, theta2, p)
 
+    def test_duplicate_germ_draw_is_resampled(self, monkeypatch, caplog):
+        # The first draw's second germ is moved onto its first; the set
+        # rejects it, and the next attempt's draw is returned untouched.
+        window = Rectangle.square(5.0)
+        second = pointprocess._draw(1.0, window, 1, 1)
+        sample, drawn = Rectangle.sample, []
+
+        def duplicated_once(self, rng, count):
+            xs, ys = sample(self, rng, count)
+            if not drawn:
+                xs[1], ys[1] = xs[0], ys[0]
+            drawn.append((xs, ys))
+            return xs, ys
+
+        monkeypatch.setattr(Rectangle, "sample", duplicated_once)
+        with caplog.at_level("WARNING", logger="lilyseg.pointprocess"):
+            mps = sample_poisson(1.0, window, seed=1)
+        assert len(drawn) == 2 and (drawn[0][0][0], drawn[0][1][0]) == (drawn[0][0][1], drawn[0][1][1])
+        assert [r.getMessage() for r in caplog.records] == ["duplicate germ sampled (seed=1 attempt=0); resampling"]
+        assert mps.points == second.points and mps.provenance == second.provenance
+
     def test_duplicate_germs_on_every_draw(self, monkeypatch):
         monkeypatch.setattr(pointprocess, "_draw", lambda *args, **kwargs: None)
         with pytest.raises(IdenticalGerms, match="16 draws"):

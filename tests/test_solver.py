@@ -26,7 +26,7 @@ from lilyseg import (
     solve_greedy_oracle,
     verify_gmhs,
 )
-from lilyseg import geometry, solver
+from lilyseg import geometry
 from lilyseg.geometry import PARALLEL_TOL, PairTable
 from lilyseg.solver import (
     _candidate_mask,
@@ -111,7 +111,7 @@ def test_fixed_point_solve_applies_the_operator_once_past_its_steps(width):
     # screen reads is a whole row.
     mps = sample_poisson(1.0, Rectangle.square(12.0), seed=2)
     calls, screening = [], []
-    operator, screen = PairTable.operator, solver._screen_answer
+    operator, screen = PairTable.operator, PairTable.screen_answer
 
     def counted(table, radii, model):
         calls.append(bool(screening))
@@ -127,12 +127,22 @@ def test_fixed_point_solve_applies_the_operator_once_past_its_steps(width):
     for model in (1, 2):
         calls.clear()
         with mock.patch.object(geometry, "_NEAR", width), mock.patch.object(PairTable, "operator", counted), \
-                mock.patch.object(solver, "_screen_answer", side_effect=watched) as screened:
+                mock.patch.object(PairTable, "screen_answer", autospec=True, side_effect=watched) as screened:
             solution = solve_fixed_point(MarkedPointSet(mps.points), model)
         assert solution.iterations > 2
         assert len(calls) == solution.iterations + 1
         assert not any(calls)
         assert screened.call_count == 1
+
+
+def test_radii_from_array_match_elementwise_floats():
+    values = [0.0, -0.0, 0.1, 4.0, 5e-324, 1.7976931348623157e308, INF]
+    for arr in (np.array(values), values, np.array(values[:4] + [INF], dtype=np.float32), np.arange(3)):
+        radii = RadiiAssignment.from_array(arr)
+        elementwise = RadiiAssignment(tuple(float(v) for v in arr))
+        assert repr(radii) == repr(elementwise) and radii == elementwise
+        assert all(type(v) is float for v in radii)
+    assert math.copysign(1.0, RadiiAssignment.from_array(np.array(values))[1]) == -1.0
 
 
 class TestFixtureSolutions:
