@@ -33,7 +33,6 @@ from .pointprocess import (
     Rectangle,
     n_closest_to_origin,
     read_realization,
-    realization_to_json,
     sample_poisson,
     write_realization,
 )

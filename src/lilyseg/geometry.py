@@ -530,13 +530,17 @@ class PairTable:
     """
 
     def __init__(self, points: Sequence[MarkedPoint]):
-        self.points = tuple(points)
-        self.n = len(self.points)
-        self.x = np.array([p.x for p in self.points], dtype=float)
-        self.y = np.array([p.y for p in self.points], dtype=float)
-        if self.n and max(np.abs(self.x).max(), np.abs(self.y).max()) > COORDINATE_LIMIT:
+        # A point set hands over its coordinate arrays, which the table
+        # keeps and never writes; other points are read one by one.
+        if isinstance(getattr(points, "x", None), np.ndarray):
+            x, y, theta = points.x, points.y, points.theta
+        else:
+            points = tuple(points)
+            x, y, theta = (np.array([getattr(p, name) for p in points], dtype=float) for name in ("x", "y", "theta"))
+        self.n = len(x)
+        self.x, self.y, self.theta = x, y, theta
+        if self.n and max(np.abs(x).max(), np.abs(y).max()) > COORDINATE_LIMIT:
             raise InvalidInput(f"germ coordinates must lie within +-{COORDINATE_LIMIT:g}")
-        self.theta = np.array([p.theta for p in self.points], dtype=float)
         self.ux = np.cos(self.theta)
         self.uy = np.sin(self.theta)
         self.radius = np.hypot(self.x, self.y)
@@ -1225,6 +1229,6 @@ def shared_pair_table(point_set) -> PairTable:
     """
     table = vars(point_set).get("_pair_table")
     if table is None:
-        table = PairTable(point_set.points)
+        table = PairTable(point_set)
         object.__setattr__(point_set, "_pair_table", table)
     return table

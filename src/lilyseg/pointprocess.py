@@ -8,6 +8,12 @@ one and the fixed-point solve's of its answer, are
 User-supplied sets that fail the full screen are a hard error unless
 explicitly jittered (``ensure_condition_d``).  A draw in which two germs
 coincide is resampled under an incremented attempt counter and logged.
+
+A :class:`MarkedPointSet` holds its germs as ``x``, ``y`` and ``theta``
+arrays.  Sampling, pinning, jittering and realization files build sets
+from arrays, and the pair table and the Monte Carlo tallies read those
+arrays; :class:`MarkedPoint` objects are made only when a caller asks for
+``points``, iterates or indexes.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import IO, Iterator, Optional, Tuple, Union
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from typing import IO, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -170,33 +177,93 @@ class Provenance:
     window: Window
 
 
-@dataclass(frozen=True)
 class MarkedPointSet:
     """A finite ordered list of marked points with stable indices 0..n-1.
 
-    ``provenance`` is ``None`` for user-supplied sets.  Germ locations must
-    be pairwise distinct (exact duplicates are rejected on construction;
+    The germs are held as three read-only float arrays, ``x``, ``y`` and
+    ``theta``, which the pair table and the Monte Carlo tallies read
+    directly.  ``points`` (and with it iteration and indexing) is a tuple of
+    :class:`MarkedPoint` built from the arrays on first use and kept; a set
+    constructed from points keeps those objects.  Sets compare, hash,
+    print and pickle by their points and provenance, whichever way they
+    were made.  ``provenance`` is ``None`` for user-supplied sets.  Germ
+    locations must be pairwise distinct (exact duplicates, ``-0.0`` and
+    ``0.0`` being equal, raise :class:`IdenticalGerms` on construction;
     near-duplicates surface through the genericity check).
     """
 
-    points: Tuple[MarkedPoint, ...]
-    provenance: Optional[Provenance] = None
+    def __init__(self, points: Iterable[MarkedPoint], provenance: Optional[Provenance] = None):
+        points = tuple(points)
+        columns = (np.array([getattr(p, name) for p in points], dtype=float) for name in ("x", "y", "theta"))
+        self._set_germs(*columns, provenance)
+        self.__dict__["points"] = points
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        seen = set()
-        for p in self.points:
-            key = (p.x, p.y)
-            if key in seen:
-                raise IdenticalGerms(f"duplicate germ at {key}")
-            seen.add(key)
+    @classmethod
+    def from_arrays(cls, x, y, theta, provenance: Optional[Provenance] = None) -> "MarkedPointSet":
+        """The set of germs ``(x[i], y[i])`` with directions ``theta[i]``.
+
+        The arrays are copied, and each germ is checked as
+        :class:`MarkedPoint` checks it, with the same errors.
+        """
+        x, y, theta = (np.array(v, dtype=float) for v in (x, y, theta))
+        if not (x.ndim == 1 and x.shape == y.shape == theta.shape):
+            raise InvalidInput(f"x, y and theta must be 1-d arrays of one length, got {x.shape}, {y.shape}, {theta.shape}")
+        bad = ~(np.isfinite(x) & np.isfinite(y) & (theta >= 0.0) & (theta < math.pi))
+        if bad.any():
+            i = int(np.argmax(bad))
+            MarkedPoint(float(x[i]), float(y[i]), float(theta[i]))  # raises the point's own InvalidInput
+        point_set = cls.__new__(cls)
+        point_set._set_germs(x, y, theta, provenance)
+        return point_set
+
+    def _set_germs(self, x: np.ndarray, y: np.ndarray, theta: np.ndarray, provenance: Optional[Provenance]) -> None:
+        # One stable lexsort puts equal germs next to each other, in index
+        # order, so the first repeat found is the first in index order.
+        order = np.lexsort((y, x))
+        repeat = (x[order[1:]] == x[order[:-1]]) & (y[order[1:]] == y[order[:-1]])
+        if repeat.any():
+            i = int(order[1:][repeat].min())
+            raise IdenticalGerms(f"duplicate germ at {(float(x[i]), float(y[i]))}")
+        for name, values in (("x", x), ("y", y), ("theta", theta)):
+            values.flags.writeable = False
+            self.__dict__[name] = values
+        self.__dict__["provenance"] = provenance
+
+    @cached_property
+    def points(self) -> Tuple[MarkedPoint, ...]:
+        return tuple(map(MarkedPoint, self.x.tolist(), self.y.tolist(), self.theta.tolist()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            np.array_equal(self.x, other.x)
+            and np.array_equal(self.y, other.y)
+            and np.array_equal(self.theta, other.theta)
+            and self.provenance == other.provenance
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.provenance))
+
+    def __repr__(self) -> str:
+        return f"MarkedPointSet(points={self.points!r}, provenance={self.provenance!r})"
 
     def __getstate__(self) -> dict:
         # Pickles carry the fields only, not the pair table the set keeps.
         return {"points": self.points, "provenance": self.provenance}
 
+    def __setstate__(self, state: dict) -> None:
+        MarkedPointSet.__init__(self, state["points"], state["provenance"])
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.x)
 
     def __iter__(self):
         return iter(self.points)
@@ -206,7 +273,7 @@ class MarkedPointSet:
 
     def coords(self) -> np.ndarray:
         """Germ coordinates as an (n, 2) array."""
-        return np.array([(p.x, p.y) for p in self.points], dtype=float).reshape(-1, 2)
+        return np.stack((self.x, self.y), axis=1)
 
     @property
     def window(self) -> Optional[Window]:
@@ -246,13 +313,7 @@ def ensure_condition_d(point_set: MarkedPointSet, *, perturb: bool = False, seed
         rng = np.random.default_rng((_fold_seed(seed), 0x6A09, attempt))
         jitter = rng.uniform(-1.0, 1.0, coords.shape) * (1e-9 * scale[:, None])
         moved = coords + jitter
-        candidate = MarkedPointSet(
-            tuple(
-                MarkedPoint(moved[i, 0], moved[i, 1], p.theta)
-                for i, p in enumerate(point_set.points)
-            ),
-            provenance=point_set.provenance,
-        )
+        candidate = MarkedPointSet.from_arrays(moved[:, 0], moved[:, 1], point_set.theta, point_set.provenance)
         report = check_condition_d(candidate)
         if report.passes:
             log.info("jittered point set into genericity after %d attempt(s)", attempt + 1)
@@ -288,9 +349,8 @@ def _draw(
     else:
         thetas = rng.uniform(0.0, math.pi, count)
     try:
-        return MarkedPointSet(
-            tuple(MarkedPoint(x, y, t) for x, y, t in zip(xs.tolist(), ys.tolist(), thetas.tolist())),
-            provenance=Provenance(seed=int(seed), intensity=float(intensity), window=window),
+        return MarkedPointSet.from_arrays(
+            xs, ys, thetas, provenance=Provenance(seed=int(seed), intensity=float(intensity), window=window)
         )
     except IdenticalGerms:
         log.warning("duplicate germ sampled (seed=%d attempt=%d); resampling", seed, attempt)
@@ -342,11 +402,12 @@ def n_closest_to_origin(
     if len(point_set) < n:
         raise NotEnoughPoints(f"asked for {n} of {len(point_set)} points")
     pin = pinned if pinned is not None else ORIGIN_PIN
-    coords = point_set.coords()
-    dist = np.hypot(coords[:, 0] - pin.x, coords[:, 1] - pin.y)
-    order = np.lexsort((np.arange(len(point_set)), dist))
-    chosen = [point_set[int(i)] for i in order[:n]]
-    return MarkedPointSet((pin, *chosen), provenance=point_set.provenance)
+    x, y, theta = point_set.x, point_set.y, point_set.theta
+    chosen = np.lexsort((np.arange(len(point_set)), np.hypot(x - pin.x, y - pin.y)))[:n]
+    return MarkedPointSet.from_arrays(
+        np.r_[pin.x, x[chosen]], np.r_[pin.y, y[chosen]], np.r_[pin.theta, theta[chosen]],
+        provenance=point_set.provenance,
+    )
 
 
 def _pinned_disk_radius(intensity: float, n_neighbors: int) -> float:
@@ -406,17 +467,31 @@ def realization_to_json(point_set: MarkedPointSet) -> dict:
 
 
 def realization_from_json(obj: dict) -> MarkedPointSet:
-    """Parse a realization payload; raises :class:`InvalidInput` on a value of the wrong type or range."""
+    """Parse a realization payload; raises :class:`InvalidInput` on a missing
+    field or a value of the wrong type or range."""
     try:
-        points = tuple(MarkedPoint(rec["x"], rec["y"], rec["theta"]) for rec in obj["points"])
+        records = obj["points"]
+        columns = [_column(records, name) for name in ("x", "y", "theta")]
         window = window_from_json(obj.get("window"))
         if obj.get("seed") is None or obj.get("lambda") is None or window is None:
             provenance = None
         else:
             provenance = Provenance(seed=int(obj["seed"]), intensity=float(obj["lambda"]), window=window)
+        return MarkedPointSet.from_arrays(*columns, provenance=provenance)
+    except KeyError as exc:
+        raise InvalidInput(f"malformed realization: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed realization: {exc}") from None
-    return MarkedPointSet(points, provenance=provenance)
+
+
+def _column(records, name: str) -> np.ndarray:
+    """Field ``name`` of every point record, as floats; a value that is not a
+    JSON number raises TypeError."""
+    values = [rec[name] for rec in records]
+    for v in values:
+        if not isinstance(v, (int, float)):
+            raise TypeError(f"point field {name!r} must be a number, got {v!r}")
+    return np.array(values, dtype=float)
 
 
 def write_realization(point_set: MarkedPointSet, fp: Union[str, IO[str]]) -> None:

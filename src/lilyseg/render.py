@@ -13,7 +13,7 @@ from typing import IO, Optional, Tuple, Union
 
 from .errors import InvalidInput
 from .geometry import _write_text
-from .pointprocess import Rectangle, Window
+from .pointprocess import Rectangle
 from .solver import Solution
 from .structure import StructureReport, analyze
 

@@ -8,6 +8,9 @@ policy: a replication that raises is logged and dropped, and more than 1%
 dropped fails the run.  Standard errors come from replication-level
 batching: each seed is one batch, and aggregation is a deterministic
 reduce in seed order so serial and parallel runs agree bit for bit.
+A windowed replication samples, solves and tallies on arrays: the point
+set's coordinates and the structure core of :mod:`lilyseg.structure`,
+with no point or report object made on the way.
 
 Reference facts the diagnostics target: the mean neighbour count of the
 typical segment is 2 under Model 1 and 2 minus the doublet probability
@@ -42,7 +45,7 @@ from .errors import (
 from .geometry import _check_model
 from .pointprocess import Disk, Rectangle, Window, _check_intensity, _pinned_disk_radius, sample_pinned, sample_poisson
 from .solver import Solution, solve_fixed_point
-from .structure import StructureReport, analyze, interior_certified
+from .structure import StructureReport, _structure, analyze, interior_certified
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +109,7 @@ class _RepStats:
     cycle_counts: Dict[int, int] = field(default_factory=dict)  # cycle size -> certified members
     doublet_count: int = 0
     finite_cluster_members: int = 0  # certified germs whose cluster has no infinite segment
-    cluster_sizes: List[int] = field(default_factory=list)  # all-finite clusters w/ certified rep
+    cluster_sizes: List[int] = field(default_factory=list)  # all-finite clusters w/ certified rep, by smallest index
     certification_flagged: bool = False
     finite_radii: Optional[np.ndarray] = None
 
@@ -114,58 +117,40 @@ class _RepStats:
 def _collect_replication(config: McConfig, seed: int) -> _RepStats:
     mps = sample_poisson(config.intensity, config.window, seed)
     solution = solve_fixed_point(mps, config.model)
-    report = analyze(solution)
+    core = _structure(solution)
     radii = solution.radii.to_array()
     certified = interior_certified(solution, config.window, config.margin)
 
-    coords = mps.coords()
-    if len(mps):
-        band_clear = np.asarray(
-            config.window.distance_to_boundary(coords[:, 0], coords[:, 1])
-        ) >= config.margin
-    else:
-        band_clear = np.zeros(0, dtype=bool)
-    n_band = int(band_clear.sum())
+    n_band = int(np.count_nonzero(config.window.distance_to_boundary(mps.x, mps.y) >= config.margin))
     flagged = n_band > 0 and certified.sum() < 0.5 * n_band
 
     stats = _RepStats(certification_flagged=flagged)
     stats.n_certified = int(certified.sum())
-    nu = np.array(report.nu)
-    stats.sum_nu = int(nu[certified].sum()) if len(nu) else 0
+    stats.sum_nu = int(core.nu[certified].sum())
 
-    members, sizes = _flat(report.cycles)
     in_cycle_size = np.zeros(len(mps), dtype=int)
-    in_cycle_size[members] = np.repeat(sizes, sizes)
+    in_cycle_size[core.cycles] = np.repeat(core.cycle_sizes, core.cycle_sizes)
     size = in_cycle_size[certified]
     values, first, counts = np.unique(size[size > 0], return_index=True, return_counts=True)
     order = np.argsort(first)  # sizes in the order certified germs first show them
     stats.cycle_counts = dict(zip(values[order].tolist(), counts[order].tolist()))
 
     in_doublet = np.zeros(len(mps), dtype=bool)
-    in_doublet[_flat(report.doublets)[0]] = True
+    in_doublet[core.doublets] = True
     stats.doublet_count = int(in_doublet[certified].sum())
 
-    # Clusters by label, in report order; each cluster's representative is
-    # its lexicographically smallest germ.
-    members, sizes = _flat(report.clusters)
-    label = np.repeat(np.arange(len(sizes)), sizes)
-    all_finite = np.bincount(label[~np.isfinite(radii[members])], minlength=len(sizes)) == 0
-    cluster_all_finite = np.zeros(len(mps), dtype=bool)
-    cluster_all_finite[members] = all_finite[label]
-    by_germ = members[np.lexsort((coords[members, 1], coords[members, 0], label))]
+    # Clusters by label, in order of their smallest index; each cluster's
+    # representative is its lexicographically smallest germ.
+    sizes = np.bincount(core.label)
+    all_finite = np.bincount(core.label[~np.isfinite(radii)], minlength=len(sizes)) == 0
+    by_germ = np.lexsort((mps.y, mps.x, core.label))
     rep = by_germ[np.cumsum(sizes) - sizes]
     stats.cluster_sizes = sizes[all_finite & certified[rep]].tolist()
-    stats.finite_cluster_members = int(cluster_all_finite[certified].sum())
+    stats.finite_cluster_members = int(all_finite[core.label][certified].sum())
 
     finite_and_certified = certified & np.isfinite(radii)
     stats.finite_radii = radii[finite_and_certified]
     return stats
-
-
-def _flat(groups: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """The members of ``groups`` in order, and the size of each group."""
-    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-    return np.fromiter(chain.from_iterable(groups), dtype=np.intp, count=int(sizes.sum())), sizes
 
 
 def _attempt(job: Callable[[int], object], seed: int) -> Tuple[object, Optional[str]]:
@@ -622,11 +607,10 @@ def _centre_cluster(model: int, intensity: float, window: Rectangle, seed: int) 
     mps = sample_poisson(intensity, window, seed)
     if len(mps) == 0:
         return None
-    report = analyze(solve_fixed_point(mps, model))
-    coords = mps.coords()
-    center = window.center
-    nearest = int(np.argmin(np.hypot(coords[:, 0] - center[0], coords[:, 1] - center[1])))
-    return float(len(report.cluster_of(nearest))), len(mps)
+    label = _structure(solve_fixed_point(mps, model)).label
+    cx, cy = window.center
+    nearest = int(np.argmin(np.hypot(mps.x - cx, mps.y - cy)))
+    return float(np.count_nonzero(label == label[nearest])), len(mps)
 
 
 @dataclass(frozen=True)
@@ -677,7 +661,7 @@ def mass_transport_check(
     rhs_terms = nu.astype(int) - finite.astype(int)
     if solution.model == 2:
         in_doublet = np.zeros(len(radii), dtype=bool)
-        in_doublet[_flat(report.doublets)[0]] = True
+        in_doublet[list(chain.from_iterable(report.doublets))] = True
         rhs_terms = rhs_terms + in_doublet.astype(int)
     rhs = int(rhs_terms[certified].sum())
     return MassTransportTally(

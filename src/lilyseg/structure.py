@@ -14,16 +14,20 @@ on every analysis, so the two cluster notions (touching vs. stopping) are
 asserted to coincide rather than assumed.  The pass reads each germ's
 near list of closest stops and falls back to whole table rows only where
 the list cannot certify its answer; the results equal the all-pairs
-evaluation.  The bookkeeping after it (stopping map, contact comparison,
-neighbour counts, cycles, doublets and cluster invariants) runs on arrays;
-only the union-find that orders the clusters walks the edges in Python.
+evaluation.  The bookkeeping after it runs on arrays, in ``_structure``:
+the stopping map, the contact comparison, neighbour counts, cycles,
+doublets, cluster labels (the components of the stopping map, found by
+pointer jumping) and the cluster invariants, each check raising as
+:func:`analyze` raises.  The Monte Carlo replications read that core
+directly.  :func:`analyze` builds its report from it; only the union-find
+that reproduces the report's cluster order walks the edges in Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -154,11 +158,87 @@ class _UnionFind:
             root = up
 
 
-def _jump(step: np.ndarray, n: int) -> np.ndarray:
-    """``step`` applied at least n times, by repeated squaring."""
+def _jump(step: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``step`` applied at least n times, by repeated squaring, and the
+    smallest index each index passes on the way."""
+    low = np.arange(n)
     for _ in range(n.bit_length()):
+        low = np.minimum(low, low[step])
         step = step[step]
-    return step
+    return step, low
+
+
+class _Structure(NamedTuple):
+    """The structure of a solved system as arrays, every invariant checked.
+
+    ``stop_i`` and ``stop_j`` are the stops ``(i, j)``, ascending ``i``;
+    ``keys`` the contact edges ``(i, j)``, ``i < j``, as ascending keys
+    ``i * n + j``; ``nu`` the neighbour counts.  ``label`` numbers each
+    index's cluster, the clusters in order of their smallest index.
+    ``cycles`` holds the Model-1 cycles one after another, each of
+    ``cycle_sizes`` members, and ``doublets`` the Model-2 doublets as rows
+    ``(i, j)``, ``i < j``, both as :class:`StructureReport` lists them.
+    """
+
+    stop_i: np.ndarray
+    stop_j: np.ndarray
+    keys: np.ndarray
+    nu: np.ndarray
+    label: np.ndarray
+    cycles: np.ndarray
+    cycle_sizes: np.ndarray
+    doublets: np.ndarray
+
+
+def _structure(solution: Solution, tol: float = VERIFY_TOL) -> _Structure:
+    """The array core of :func:`analyze`: the same checks, raising the same
+    errors, and no report objects.
+
+    Clusters are the components of the stop map (an index without a stop
+    maps to itself).  Following the map from any index ends on its
+    cluster's one cycle, or at its infinite index, within n steps; the
+    smallest index there names the cluster.  Pointer jumping finds both.
+    """
+    radii = solution.radii.to_array()
+    answer = _answer_of(solution, radii, tol)
+    rows, cols = _stops(radii, answer)
+    n = len(radii)
+
+    keys = _unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    if not np.array_equal(keys, answer.touching):
+        extra = _key_pairs(np.setdiff1d(answer.touching, keys)[:4], n)
+        missing = _key_pairs(np.setdiff1d(keys, answer.touching)[:4], n)
+        raise StructureInconsistency(f"contact graph mismatch: unexplained touches {extra}, missing {missing}")
+
+    stop = np.arange(n)
+    stop[rows] = cols
+    end, low = _jump(stop, n)
+    _, lead, label = np.unique(low[end], return_index=True, return_inverse=True)
+    rank = np.empty_like(lead)
+    rank[np.argsort(lead)] = np.arange(len(lead))
+    label, lead = rank[label], np.sort(lead)
+
+    i, j = np.divmod(keys, n)
+    nu = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[end] = True
+    on_cycle &= np.isfinite(radii)
+    cycles, sizes, first = _closers(stop, on_cycle, label, lead)
+    model = solution.model
+    wrong = (sizes < 3) if model == 1 else (sizes != 2)
+    for k in np.flatnonzero(wrong)[:1].tolist():
+        start = int(sizes[:k].sum())
+        cycle = tuple(cycles[start:start + sizes[k]].tolist())
+        raise StructureInconsistency(f"Model {model} produced a {len(cycle)}-cycle: {cycle}")
+    if model == 1:
+        doublets = np.zeros((0, 2), dtype=np.intp)
+    else:
+        doublets = np.sort(cycles.reshape(-1, 2), axis=1)
+        for a, b in doublets[radii[doublets[:, 0]] != radii[doublets[:, 1]]][:1].tolist():
+            raise StructureInconsistency(f"doublet ({a},{b}) with unequal radii")
+        cycles, sizes = cycles[:0], sizes[:0]
+    _assert_cluster_invariants(model, label, label[first], radii)
+    return _Structure(rows, cols, keys, nu, label, cycles, sizes, doublets)
 
 
 def analyze(solution: Solution, tol: float = VERIFY_TOL) -> StructureReport:
@@ -173,22 +253,13 @@ def analyze(solution: Solution, tol: float = VERIFY_TOL) -> StructureReport:
     all-finite cluster, none alongside an infinite member) are asserted and
     raise :class:`StructureInconsistency` when broken.
     """
-    radii = solution.radii.to_array()
-    answer = _answer_of(solution, radii, tol)
-    rows, cols = _stops(radii, answer)
-    n = len(radii)
-
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    keys = _unique(lo * n + hi)
-    if not np.array_equal(keys, answer.touching):
-        extra = _key_pairs(np.setdiff1d(answer.touching, keys)[:4], n)
-        missing = _key_pairs(np.setdiff1d(keys, answer.touching)[:4], n)
-        raise StructureInconsistency(f"contact graph mismatch: unexplained touches {extra}, missing {missing}")
-
+    core = _structure(solution, tol)
+    n = len(core.label)
     ids, edge_tuples = _report_objects(solution.point_set)
     shared = ids.__getitem__
     # The union order, the set's iteration order, decides each cluster's
     # root and so the order of the clusters.
+    lo, hi = np.minimum(core.stop_i, core.stop_j), np.maximum(core.stop_i, core.stop_j)
     uf = _UnionFind(n)
     for i, j in set(zip(map(shared, lo.tolist()), map(shared, hi.tolist()))):
         uf.union(i, j)
@@ -198,20 +269,18 @@ def analyze(solution: Solution, tol: float = VERIFY_TOL) -> StructureReport:
     members = list(map(shared, order.tolist()))
     bounds = [0, *cut.tolist(), n] if n else [0]
     clusters = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
-    label = np.empty(n, dtype=np.intp)
-    label[order] = np.repeat(np.arange(len(clusters)), np.diff(bounds))
 
-    i, j = np.divmod(keys, n)
-    nu = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-    cycles, doublets = _closers(solution.model, radii, rows, cols, label, order[bounds[:-1]], ids, edge_tuples)
-    _assert_cluster_invariants(solution.model, clusters, label, cycles, doublets, radii)
+    flat = list(map(shared, core.cycles.tolist()))
+    ends = np.cumsum(core.cycle_sizes).tolist()
+    cycles = tuple(tuple(flat[b - k:b]) for k, b in zip(core.cycle_sizes.tolist(), ends))
+    doublets = _edges((core.doublets[:, 0] * n + core.doublets[:, 1]).tolist(), n, ids, edge_tuples)
     return StructureReport(
         model=solution.model,
-        contact_edges=_edges(keys.tolist(), n, ids, edge_tuples),
+        contact_edges=_edges(core.keys.tolist(), n, ids, edge_tuples),
         clusters=clusters,
         cycles=cycles,
         doublets=doublets,
-        nu=tuple(nu.tolist()),
+        nu=tuple(core.nu.tolist()),
     )
 
 
@@ -241,63 +310,43 @@ def _edges(keys: List[int], n: int, ids: List[int], edge_tuples: dict) -> Tuple[
     return tuple(found)
 
 
-def _closers(model, radii, rows, cols, label, lead, ids, edge_tuples):
-    """Cycles of the stopping map (Model 1) or its doublets (Model 2), checked.
+def _closers(stop: np.ndarray, on_cycle: np.ndarray, label: np.ndarray, lead: np.ndarray):
+    """The cycles of the stop map through finite indices, one after another,
+    their sizes, and the smallest index of each one's cluster.
 
-    ``label`` gives each index's cluster and ``lead`` each cluster's
-    smallest index; ``ids`` and ``edge_tuples`` are the set's shared report
-    objects (see ``_report_objects``).  A cluster holds at most one cycle.
-    Walking the map from each finite index in turn, the first walk to reach
-    a cycle starts at its cluster's smallest index and enters the cycle
-    where that index's path first meets it; each cycle is listed from
-    there, in the order of those walks.
+    ``on_cycle`` marks the finite indices on a cycle, ``label`` gives each
+    index's cluster and ``lead`` each cluster's smallest index, ascending.
+    A cluster holds at most one cycle.  Walking the map from each finite
+    index in turn, the first walk to reach a cycle starts at its cluster's
+    smallest index and enters the cycle where that index's path first meets
+    it; each cycle is listed from there, in the order of those walks.
     """
-    n = len(radii)
-    stop = np.arange(n)
-    stop[rows] = cols  # an index without a stop maps to itself
-    on_cycle = np.zeros(n, dtype=bool)
-    on_cycle[_jump(stop, n)] = True
-    on_cycle &= np.isfinite(radii)
+    n = len(stop)
     length = np.bincount(label[on_cycle], minlength=len(lead))
-    first = np.sort(lead[length > 0])
+    first = lead[length > 0]
     length = length[label[first]]
-    start = _jump(np.where(on_cycle, np.arange(n), stop), n)[first]
+    start = _jump(np.where(on_cycle, np.arange(n), stop), n)[0][first]
     walk = [start]
     for _ in range(int(length.max(initial=0)) - 1):
         walk.append(stop[walk[-1]])
-    flat = list(map(ids.__getitem__, np.stack(walk, axis=1)[np.arange(len(walk)) < length[:, None]].tolist()))
-    ends = np.cumsum(length).tolist()
-    found = [tuple(flat[b - k:b]) for k, b in zip(length.tolist(), ends)]
-    if model == 1:
-        for cyc in found:
-            if len(cyc) < 3:
-                raise StructureInconsistency(f"Model 1 produced a {len(cyc)}-cycle: {cyc}")
-        return tuple(found), ()
-    for cyc in found:
-        if len(cyc) != 2:
-            raise StructureInconsistency(f"Model 2 produced a {len(cyc)}-cycle: {cyc}")
-    doublets = _edges([min(cyc) * n + max(cyc) for cyc in found], n, ids, edge_tuples)
-    for i, j in doublets:
-        if radii[i] != radii[j]:
-            raise StructureInconsistency(f"doublet ({i},{j}) with unequal radii")
-    return (), doublets
+    cycles = np.stack(walk, axis=1)[np.arange(len(walk)) < length[:, None]]
+    return cycles, length, first
 
 
-def _assert_cluster_invariants(model, clusters, label, cycles, doublets, radii) -> None:
+def _assert_cluster_invariants(model, label, closed, radii) -> None:
     """Raise on the first cluster, in order, that breaks an invariant.
 
-    Every member of a cycle or doublet lies in one cluster, so a cluster's
-    closing structures are counted by their first members.
+    ``closed`` holds the cluster of each cycle or doublet.
     """
-    closers = cycles if model == 1 else doublets
-    size = np.bincount(label, minlength=len(clusters))
-    infinite = np.bincount(label[~np.isfinite(radii)], minlength=len(clusters))
-    inside = np.bincount(label[[group[0] for group in closers]], minlength=len(clusters))
+    size = np.bincount(label)
+    count = len(size)
+    infinite = np.bincount(label[~np.isfinite(radii)], minlength=count)
+    inside = np.bincount(closed, minlength=count)
     all_finite = infinite == 0
     broken = np.where(all_finite, inside != 1, inside > 0)
     broken |= (infinite > 1) if model == 1 else ((infinite > 0) & (size > 1))
     for k in np.flatnonzero(broken)[:1].tolist():
-        cluster = clusters[k]
+        cluster = tuple(np.flatnonzero(label == k).tolist())
         if all_finite[k]:
             raise StructureInconsistency(f"all-finite cluster {cluster} holds {inside[k]} cycles/doublets")
         if inside[k]:
@@ -367,12 +416,9 @@ def interior_certified(
     window; without a window every germ qualifies (fixture semantics).
     """
     radii = solution.radii.to_array()
-    n = len(radii)
     if window is None:
-        return np.ones(n, dtype=bool)
-    coords = solution.point_set.coords()
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    dist = np.asarray(window.distance_to_boundary(coords[:, 0], coords[:, 1]), dtype=float)
+        return np.ones(len(radii), dtype=bool)
+    point_set = solution.point_set
+    dist = np.asarray(window.distance_to_boundary(point_set.x, point_set.y), dtype=float)
     with np.errstate(invalid="ignore"):
         return (dist >= margin) & (radii < dist - margin / 2.0)

@@ -250,7 +250,8 @@ def test_one_pass_matches_dense_reference(points, seed, width):
 
 
 def reference_tallies(config, seed):
-    """The tallies of one replication by loops over the report's groups."""
+    """The tallies of one replication by loops over the report's groups;
+    the cluster sizes in order of each cluster's smallest index."""
     mps = sample_poisson(config.intensity, config.window, seed)
     solution = solve_fixed_point(mps, config.model)
     report = analyze(solution)
@@ -264,7 +265,7 @@ def reference_tallies(config, seed):
                 cycle_counts[len(cyc)] = cycle_counts.get(len(cyc), 0) + 1
     in_doublet = {i for pair in report.doublets for i in pair}
     finite_members, sizes = 0, []
-    for cluster in report.clusters:
+    for cluster in sorted(report.clusters):
         if all(math.isfinite(radii[i]) for i in cluster):
             finite_members += sum(bool(certified[i]) for i in cluster)
             if certified[min(cluster, key=lambda i: (coords[i, 0], coords[i, 1]))]:

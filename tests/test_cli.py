@@ -136,6 +136,18 @@ class TestSolve:
         assert run(["solve", "--model", 1, "--in", path]) == 2
         assert capsys.readouterr().err.startswith("error: malformed realization")
 
+    @pytest.mark.parametrize("field", ["points", "x", "y", "theta"])
+    def test_missing_field_exits_2_naming_it(self, tmp_path, capsys, field):
+        obj = {"schema_version": "1", "points": [{"x": 0.0, "y": 0.0, "theta": 0.0}, {"x": 1.0, "y": 2.0, "theta": 0.5}]}
+        if field == "points":
+            del obj["points"]
+        else:
+            del obj["points"][1][field]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(obj))
+        assert run(["solve", "--model", 1, "--in", path]) == 2
+        assert capsys.readouterr().err == f"error: malformed realization: missing field '{field}'\n"
+
     def test_coordinate_past_the_limit_exits_2(self, tmp_path, capsys):
         past = math.nextafter(1e150, math.inf)
         points = [{"x": 0.0, "y": 0.0, "theta": 0.0}, {"x": 1.0, "y": past, "theta": 1.0}]

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -150,6 +152,26 @@ class TestSampling:
         with pytest.raises(IdenticalGerms, match="32 draws"):
             sample_pinned(1.0, 41, 1)
 
+    def test_signed_zero_germs_are_a_duplicate_draw(self, monkeypatch, caplog):
+        # (0.0, y) and (-0.0, y) are one germ: the draw is resampled.
+        window = Rectangle.square(5.0)
+        second = pointprocess._draw(1.0, window, 1, 1)
+        sample, drawn = Rectangle.sample, []
+
+        def signed_zeros_once(self, rng, count):
+            xs, ys = sample(self, rng, count)
+            if not drawn:
+                xs[0], xs[1], ys[1] = 0.0, -0.0, ys[0]
+            drawn.append(xs)
+            return xs, ys
+
+        monkeypatch.setattr(Rectangle, "sample", signed_zeros_once)
+        with caplog.at_level("WARNING", logger="lilyseg.pointprocess"):
+            mps = sample_poisson(1.0, window, seed=1)
+        assert len(drawn) == 2 and math.copysign(1.0, drawn[0][1]) == -1.0
+        assert [r.getMessage() for r in caplog.records] == ["duplicate germ sampled (seed=1 attempt=0); resampling"]
+        assert mps == second
+
     def test_two_atom_marks(self):
         marks = TwoAtomMarks(0.3, 1.7, p=0.25)
         mps = sample_poisson(1.0, Rectangle.square(12.0), seed=3, marks=marks)
@@ -173,6 +195,57 @@ class TestSampling:
         for seed in range(1000):
             mps = sample_poisson(1.0, Rectangle.square(7.0), seed=seed)
             assert check_condition_d(mps, tie_tol=1e-9).passes
+
+
+class TestPointSetArrays:
+    POINTS = (MarkedPoint(0.5, 1.0, 0.1), MarkedPoint(2.0, -1.5, 3.0), MarkedPoint(-0.0, 4.0, 0.0))
+
+    @pytest.mark.parametrize("repeat", [MarkedPoint(2.0, -1.5, 1.0), MarkedPoint(0.0, 4.0, 2.0)], ids=["exact", "signed-zero"])
+    def test_duplicate_points_raise(self, repeat):
+        with pytest.raises(IdenticalGerms, match="duplicate germ at"):
+            MarkedPointSet(self.POINTS + (repeat,))
+        x, y, theta = zip(*((p.x, p.y, p.theta) for p in self.POINTS + (repeat,)))
+        with pytest.raises(IdenticalGerms):
+            MarkedPointSet.from_arrays(x, y, theta)
+
+    def test_first_repeat_in_index_order_is_named(self):
+        points = (MarkedPoint(5.0, 5.0, 0.1), MarkedPoint(1.0, 1.0, 0.2), MarkedPoint(5.0, 5.0, 0.3), MarkedPoint(1.0, 1.0, 0.4))
+        with pytest.raises(IdenticalGerms, match=r"\(5\.0, 5\.0\)"):
+            MarkedPointSet(points)
+
+    def test_arrays_and_points_build_equal_sets(self):
+        provenance = sample_poisson(1.0, Rectangle.square(4.0), seed=2).provenance
+        from_points = MarkedPointSet(self.POINTS, provenance)
+        x, y, theta = (np.array([getattr(p, name) for p in self.POINTS]) for name in ("x", "y", "theta"))
+        from_arrays = MarkedPointSet.from_arrays(x, y, theta, provenance)
+        assert from_arrays == from_points and hash(from_arrays) == hash(from_points)
+        assert repr(from_arrays) == repr(from_points) and from_arrays.points == self.POINTS
+        assert pickle.dumps(from_arrays) == pickle.dumps(from_points)
+        back = pickle.loads(pickle.dumps(from_arrays))
+        assert back == from_points and list(back) == list(self.POINTS) and back[1] == self.POINTS[1]
+        assert np.array_equal(from_arrays.coords(), [[0.5, 1.0], [2.0, -1.5], [0.0, 4.0]])
+        x[0] = 9.0  # the set keeps a copy
+        assert from_arrays.x[0] == 0.5 and not from_arrays.x.flags.writeable
+
+    def test_sets_stay_frozen(self):
+        mps = MarkedPointSet(self.POINTS)
+        for name in ("points", "x", "provenance"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(mps, name, None)
+
+    @pytest.mark.parametrize(
+        "x, y, theta, match",
+        [
+            ([0.0, math.inf], [0.0, 1.0], [0.0, 0.5], "coordinates must be finite"),
+            ([0.0, 1.0], [math.nan, 1.0], [0.0, 0.5], "coordinates must be finite"),
+            ([0.0, 1.0], [0.0, 1.0], [0.0, math.pi], "direction must lie in"),
+            ([0.0, 1.0], [0.0, 1.0], [-0.5, 0.5], "direction must lie in"),
+            ([0.0, 1.0], [0.0], [0.0, 0.5], "one length"),
+        ],
+    )
+    def test_from_arrays_checks_each_germ(self, x, y, theta, match):
+        with pytest.raises(InvalidInput, match=match):
+            MarkedPointSet.from_arrays(x, y, theta)
 
 
 class TestConditionD:
@@ -382,3 +455,19 @@ class TestRealizationFiles:
             for mps in sets:
                 fh.write(json.dumps(realization_to_json(mps)) + "\n")
         assert list(iter_realizations(str(path))) == sets
+
+    @pytest.mark.parametrize("field", ["points", "x", "y", "theta"])
+    def test_missing_field_is_named(self, field):
+        obj = realization_to_json(sample_poisson(1.0, Rectangle.square(4.0), seed=1))
+        if field == "points":
+            del obj["points"]
+        else:
+            del obj["points"][1][field]
+        with pytest.raises(InvalidInput, match=f"missing field '{field}'"):
+            realization_from_json(obj)
+
+    @pytest.mark.parametrize("value", ["1.5", None, [1.0]], ids=["text", "null", "list"])
+    def test_non_number_field_is_rejected(self, value):
+        obj = {"points": [{"x": 0.0, "y": 0.0, "theta": 0.0}, {"x": value, "y": 1.0, "theta": 0.5}]}
+        with pytest.raises(InvalidInput, match="malformed realization"):
+            realization_from_json(obj)

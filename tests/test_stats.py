@@ -47,6 +47,37 @@ def small_config(model, **kw):
     return McConfig(**defaults)
 
 
+# ``repr`` of one replication on a 30x30 window (seed 0, margin 8) per
+# model, as the object-building replication path printed it (numpy 2 prints
+# replications_flagged as np.int64(0), numpy 1 as 0).
+ONE_REPLICATION_30 = {
+    1: "PalmEstimates(config_hash='b860e3f72865', model=1, replications_completed=1, replications_aborted=0, "
+    "replications_flagged=0, n_certified=183, stderr_defined=False, nu_mean=1.9836065573770492, "
+    "nu_stderr=nan, varpi=nan, varpi_stderr=nan, varpi_by_r={3: 0.04918032786885246, 4: 0.07650273224043716, "
+    "5: 0.07650273224043716}, varpi_by_r_stderr={3: nan, 4: nan, 5: nan}, varpi_total=0.20218579234972678, "
+    "p_finite=1.0, p_finite_stderr=nan, mu_direct=15.222222222222221, mu_direct_stderr=nan, nu_vs_varpi_gap=nan, "
+    "nu_vs_varpi_gap_stderr=nan, tail=None, gaussian=None)",
+    2: "PalmEstimates(config_hash='78bd19dd79bd', model=2, replications_completed=1, replications_aborted=0, "
+    "replications_flagged=0, n_certified=183, stderr_defined=False, nu_mean=1.2131147540983607, "
+    "nu_stderr=nan, varpi=0.7704918032786885, varpi_stderr=nan, varpi_by_r={}, varpi_by_r_stderr={}, "
+    "varpi_total=nan, p_finite=1.0, p_finite_stderr=nan, mu_direct=2.589041095890411, mu_direct_stderr=nan, "
+    "nu_vs_varpi_gap=-0.016393442622950838, nu_vs_varpi_gap_stderr=nan, tail=None, gaussian=None)",
+}
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_replication_builds_no_point_or_report_object(monkeypatch, model):
+    # Sample, solve and tally run on arrays: a MarkedPoint or a
+    # StructureReport made anywhere on the way fails the replication.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on the replication path")
+
+    monkeypatch.setattr(lilyseg.MarkedPoint, "__init__", refuse)
+    monkeypatch.setattr(lilyseg.StructureReport, "__init__", refuse)
+    estimates = run_monte_carlo(McConfig(model, 1.0, Rectangle.square(30.0), replications=1))
+    assert repr(estimates).replace("np.int64(0)", "0") == ONE_REPLICATION_30[model]
+
+
 class TestRunMonteCarlo:
     def test_determinism(self):
         a = run_monte_carlo(small_config(1))

@@ -3,6 +3,7 @@
     python3 tools/output_digest.py [--seeds 1000] [--expect HEX]
     python3 tools/output_digest.py --pinned [--expect HEX]
     python3 tools/output_digest.py --window 45 [--seeds 10] [--expect HEX]
+    python3 tools/output_digest.py --mc [--expect HEX]
 
 For every seed s below ``--seeds``, the set ``sample_poisson(1.0,
 Rectangle.square(15.0), s)`` is solved under both models, and ``repr()``
@@ -28,6 +29,12 @@ each model, ``repr()`` of the radii, method and iteration count of
 ``solve_fixed_point``, then of ``stopping_map`` and ``analyze`` of that
 solution, goes into the digest.
 
+With ``--mc`` the digest is instead over ``repr()`` of the estimates of
+``run_monte_carlo`` on 30x30 windows at unit intensity, Model 1 then
+Model 2, 20 replications each (seeds 0-19, margin 8), with the ``tail``
+and ``gaussian_tail`` estimators on: every tally of a replication, and the
+pooled radii, reach these estimates.
+
 Two source trees produce the same outputs on these inputs exactly when
 they print the same digest.  With ``--expect HEX`` the script exits 1 when
 the digest differs from HEX.  It imports lilyseg from ``src/`` of the
@@ -46,9 +53,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lilyseg import (  # noqa: E402
     RadiiAssignment,
+    McConfig,
     Rectangle,
     analyze,
     pinned_origin_radii,
+    run_monte_carlo,
     sample_poisson,
     solve_chain,
     solve_fixed_point,
@@ -59,6 +68,7 @@ from lilyseg.structure import stopping_map  # noqa: E402
 
 FACTORS = (1.025, 0.975)
 PINNED = (1, 1.0, 41, 10_000)  # model, intensity, neighbours, replications
+MC_ESTIMATORS = ("nu", "varpi", "mu", "p_finite", "tail", "gaussian_tail")
 
 
 def scaled_copies(radii: RadiiAssignment):
@@ -102,18 +112,31 @@ def window_records(seed: int, side: float):
         yield repr(analyze(fixed))
 
 
+def mc_records():
+    """The ``repr`` strings of the Monte Carlo estimates, Model 1 then Model 2."""
+    for model in (1, 2):
+        config = McConfig(model, 1.0, Rectangle.square(30.0), replications=20, estimators=MC_ESTIMATORS)
+        yield repr(run_monte_carlo(config))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, help="digest seeds 0 .. SEEDS-1 (default 1000, or 10 with --window)")
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--pinned", action="store_true", help="digest the pinned-origin batch instead")
     mode.add_argument("--window", type=float, metavar="SIDE", help="digest fixed-point solves of SIDE x SIDE windows instead")
+    mode.add_argument("--mc", action="store_true", help="digest Monte Carlo estimates on 30x30 windows instead")
     ap.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest equals HEX")
     args = ap.parse_args(argv)
     digest = hashlib.sha256()
     if args.pinned:
         digest.update(pinned_origin_radii(*PINNED).tobytes())
         print(f"pinned_origin_radii{PINNED}: {digest.hexdigest()}")
+    elif args.mc:
+        for record in mc_records():
+            digest.update(record.encode())
+            digest.update(b"\n")
+        print(f"run_monte_carlo, 30x30 windows, seeds 0-19: {digest.hexdigest()}")
     else:
         seeds = args.seeds if args.seeds is not None else 1000 if args.window is None else 10
         for seed in range(seeds):
