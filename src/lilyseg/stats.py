@@ -76,7 +76,7 @@ class McConfig:
         _check_model(self.model)
         _check_intensity(self.intensity)
         _check_replications(self.replications)
-        if self.margin < 0:
+        if not self.margin >= 0:
             raise InvalidInput(f"margin must be >= 0, got {self.margin}")
         if isinstance(self.window, Rectangle):
             inner_w = self.window.xmax - self.window.xmin - 2 * self.margin
@@ -122,7 +122,7 @@ def _collect_replication(config: McConfig, seed: int) -> _RepStats:
     certified = interior_certified(solution, config.window, config.margin)
 
     n_band = int(np.count_nonzero(config.window.distance_to_boundary(mps.x, mps.y) >= config.margin))
-    flagged = n_band > 0 and certified.sum() < 0.5 * n_band
+    flagged = bool(n_band > 0 and certified.sum() < 0.5 * n_band)
 
     stats = _RepStats(certification_flagged=flagged)
     stats.n_certified = int(certified.sum())

@@ -19,8 +19,8 @@ the stopping map, the contact comparison, neighbour counts, cycles,
 doublets, cluster labels (the components of the stopping map, found by
 pointer jumping) and the cluster invariants, each check raising as
 :func:`analyze` raises.  The Monte Carlo replications read that core
-directly.  :func:`analyze` builds its report from it; only the union-find
-that reproduces the report's cluster order walks the edges in Python.
+directly, and :func:`analyze` builds its report from it: the clusters in
+order of their smallest member, each listing its members ascending.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import AmbiguousStop, StructureInconsistency
+from .errors import AmbiguousStop, InvalidInput, StructureInconsistency
 from .geometry import AnswerPass, _key_pairs, _unique, shared_pair_table
 from .pointprocess import Window
 from .solver import VERIFY_TOL, Solution
@@ -102,7 +102,8 @@ class StructureReport:
 
     ``cycles`` is populated for Model 1 (each length >= 3), ``doublets``
     for Model 2 (mutual stops with exactly equal radii).  ``nu[i]`` is the
-    number of segments touching segment ``i``.
+    number of segments touching segment ``i``.  ``clusters`` are ordered by
+    their smallest member, and each lists its members in ascending order.
     """
 
     model: int
@@ -131,31 +132,6 @@ class StructureReport:
             "nu": list(self.nu),
             "contacts": self.n_contacts,
         }
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def roots(self) -> np.ndarray:
-        """Every index's root, by pointer jumping."""
-        root = np.array(self.parent, dtype=np.intp)
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                return root
-            root = up
 
 
 def _jump(step: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,15 +233,8 @@ def analyze(solution: Solution, tol: float = VERIFY_TOL) -> StructureReport:
     n = len(core.label)
     ids, edge_tuples = _report_objects(solution.point_set)
     shared = ids.__getitem__
-    # The union order, the set's iteration order, decides each cluster's
-    # root and so the order of the clusters.
-    lo, hi = np.minimum(core.stop_i, core.stop_j), np.maximum(core.stop_i, core.stop_j)
-    uf = _UnionFind(n)
-    for i, j in set(zip(map(shared, lo.tolist()), map(shared, hi.tolist()))):
-        uf.union(i, j)
-    root = uf.roots()
-    order = np.argsort(root, kind="stable")
-    cut = np.flatnonzero(np.diff(root[order])) + 1
+    order = np.argsort(core.label, kind="stable")
+    cut = np.flatnonzero(np.diff(core.label[order])) + 1
     members = list(map(shared, order.tolist()))
     bounds = [0, *cut.tolist(), n] if n else [0]
     clusters = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
@@ -414,7 +383,10 @@ def interior_certified(
     distance to the boundary less half the margin, so an in-band stop chain
     cannot silently reach it.  Infinite radii never qualify inside a
     window; without a window every germ qualifies (fixture semantics).
+    Raises :class:`InvalidInput` unless ``margin >= 0``, so NaN raises too.
     """
+    if not margin >= 0:
+        raise InvalidInput(f"margin must be >= 0, got {margin}")
     radii = solution.radii.to_array()
     if window is None:
         return np.ones(len(radii), dtype=bool)

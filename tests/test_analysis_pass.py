@@ -34,6 +34,7 @@ from lilyseg.errors import AmbiguousStop, StructureInconsistency
 from lilyseg.geometry import CONTACT_TOL, PairTable, _key_pairs, shared_pair_table
 from lilyseg.solver import solution_to_json
 from lilyseg.stats import McConfig, _collect_replication
+from lilyseg.structure import _structure
 
 from test_near_list import NEAR_WIDTHS, dense_cover, dense_stop_matches, drawn_radii, fresh_table, point_lists
 
@@ -122,7 +123,8 @@ def _sets():
 def reference_report(solution):
     """The analysis as per-germ loops over the stops and the touching pairs
     of ``answer_pass``: the stops as a dict, the union-find over the edge
-    set, the cycles by walking the map from each finite index in turn."""
+    set with its groups sorted, the cycles by walking the map from each
+    finite index in turn."""
     table = shared_pair_table(solution.point_set)
     radii = solution.radii.to_array()
     n = len(radii)
@@ -161,7 +163,7 @@ def reference_report(solution):
     doublets = ()
     if solution.model == 2:
         cycles, doublets = (), tuple(tuple(sorted(c)) for c in cycles)
-    return StructureReport(solution.model, tuple(sorted(edges)), tuple(tuple(m) for _, m in sorted(by_root.items())),
+    return StructureReport(solution.model, tuple(sorted(edges)), tuple(sorted(tuple(m) for m in by_root.values())),
                            tuple(cycles), doublets, tuple(nu))
 
 
@@ -176,6 +178,17 @@ def test_carried_pass_gives_the_analysis_of_a_rebuilt_solution():
             report = analyze(solution)
             assert repr(report) == repr(analyze(again)) == repr(reference_report(solution))
             assert report.cycles if model == 1 else report.doublets
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_clusters_in_order_of_their_smallest_member(model):
+    for mps in _sets():
+        solution = solve_fixed_point(mps, model)
+        report = analyze(solution)
+        assert report.clusters == tuple(sorted(report.clusters))
+        assert all(list(cluster) == sorted(cluster) for cluster in report.clusters)
+        label = _structure(solution).label
+        assert all(cluster == tuple(np.flatnonzero(label == k)) for k, cluster in enumerate(report.clusters))
 
 
 def test_carried_pass_stays_private():

@@ -170,6 +170,15 @@ class TestAnalyzeRender:
         assert obj["identities"]["contact_count"]["holds"]
         assert obj["identities"]["mass_transport"]["exact"]
 
+    def test_analyze_nan_margin_exits_2(self, f3_file, tmp_path, capsys):
+        sol = tmp_path / "s.json"
+        run(["solve", "--model", 1, "--in", f3_file, "--out", sol])
+        out = tmp_path / "a.json"
+        capsys.readouterr()
+        assert run(["analyze", "--in", sol, "--out", out, "--margin", "nan"]) == 2
+        assert capsys.readouterr().err == "error: margin must be >= 0, got nan\n"
+        assert not out.exists()
+
     def test_render_solution(self, f3_file, tmp_path):
         sol = tmp_path / "s.json"
         run(["solve", "--model", 1, "--in", f3_file, "--out", sol])
@@ -281,9 +290,10 @@ class TestMc:
         ["mc", "--model", 1, "--estimators", "nu,trend", "--sizes", "10,abc", "--reps", 2],
         ["mc", "--model", 1, "--estimators", "nu,trend", "--sizes", "7,10,-3", "--reps", 3,
          "--window", "20x20", "--margin", 2],
+        ["mc", "--model", 1, "--window", "20x20", "--margin", "nan"],
     ],
     ids=["n_closest_0", "reps_0", "margin_fills_window", "unknown_estimator", "sizes_not_numbers",
-         "sizes_checked_before_nu", "sizes_not_positive"],
+         "sizes_checked_before_nu", "sizes_not_positive", "margin_nan"],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, caplog, args):
     # Rejected before the first replication, not counted as aborts, and

@@ -48,8 +48,7 @@ def small_config(model, **kw):
 
 
 # ``repr`` of one replication on a 30x30 window (seed 0, margin 8) per
-# model, as the object-building replication path printed it (numpy 2 prints
-# replications_flagged as np.int64(0), numpy 1 as 0).
+# model, as the object-building replication path printed it.
 ONE_REPLICATION_30 = {
     1: "PalmEstimates(config_hash='b860e3f72865', model=1, replications_completed=1, replications_aborted=0, "
     "replications_flagged=0, n_certified=183, stderr_defined=False, nu_mean=1.9836065573770492, "
@@ -75,7 +74,7 @@ def test_replication_builds_no_point_or_report_object(monkeypatch, model):
     monkeypatch.setattr(lilyseg.MarkedPoint, "__init__", refuse)
     monkeypatch.setattr(lilyseg.StructureReport, "__init__", refuse)
     estimates = run_monte_carlo(McConfig(model, 1.0, Rectangle.square(30.0), replications=1))
-    assert repr(estimates).replace("np.int64(0)", "0") == ONE_REPLICATION_30[model]
+    assert repr(estimates) == ONE_REPLICATION_30[model]
 
 
 class TestRunMonteCarlo:
@@ -124,6 +123,9 @@ class TestRunMonteCarlo:
         for intensity in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvalidIntensity):
                 small_config(1, intensity=intensity)
+        for margin in (-1.0, math.nan):
+            with pytest.raises(InvalidInput, match="margin must be >= 0"):
+                small_config(1, margin=margin)
 
 
 class TestMuConsistency:

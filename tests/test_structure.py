@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lilyseg import (
+    InvalidInput,
     MarkedPoint,
     MarkedPointSet,
     RadiiAssignment,
@@ -198,3 +199,10 @@ class TestInteriorCertification:
         mps = MarkedPointSet((MarkedPoint(0.0, 0.0, 0.3),))
         solution = Solution(mps, 1, RadiiAssignment((INF,)), "fixed_point", 0)
         assert not interior_certified(solution, window, margin=1.0).any()
+
+    @pytest.mark.parametrize("window", [None, Rectangle.square(20.0)])
+    @pytest.mark.parametrize("margin", [-1.0, math.nan])
+    def test_margin_must_be_non_negative(self, f3, window, margin):
+        solution = solve_fixed_point(f3, 1)
+        with pytest.raises(InvalidInput, match="margin must be >= 0"):
+            interior_certified(solution, window, margin)
