@@ -52,6 +52,7 @@ from .stats import (
     percolation_trend,
     run_monte_carlo,
 )
+from .structure import _check_margin
 from .structure import analyze as analyze_structure
 from .structure import contact_count_identity
 from .render import render_svg
@@ -198,6 +199,7 @@ def _cmd_mc(args, argv) -> int:
     unknown = sorted(set(estimators) - _KNOWN_ESTIMATORS)
     if unknown:
         raise LilysegError(f"unknown estimator(s): {', '.join(unknown)}")
+    _check_margin(args.margin)  # a trend-only run builds no McConfig to check it
     core = tuple(e for e in estimators if e != "trend")
     config = None
     if core:

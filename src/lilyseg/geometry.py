@@ -19,9 +19,7 @@ table is computed from the coordinates, each at most ``COORDINATE_LIMIT``
 in absolute value: a cell grid builds each germ's near list of closest
 stops from the germs around it, in O(n) pairs on a spread-out set, and
 the kernels fall back to rows recomputed on demand where the list cannot
-certify its answer.  Model 2's first operator step also needs the germs
-lying exactly on another germ's carrier; carrier strips find them from
-O(n^1.5) candidate pairs.  The one n x n array is the distance matrix
+certify its answer.  The one n x n array is the distance matrix
 ``PairTable.d``, built on first use for the oracle solvers in
 :mod:`lilyseg.solver` and the tests.
 
@@ -131,10 +129,10 @@ _PAIR_BYTES = 54
 _GERM_BYTES = 4096
 
 # Ordered pairs per block when pairs of the table are computed (the near
-# list's grid cells, its kept pairs, the whole rows of the full screen and of
-# the kernels' fallback, and the candidates of the zero test).  Each pass
-# allocates one workspace, about 1.6 MiB at this size, and reuses it for
-# every block: fresh temporaries per block cost page faults.
+# list's grid cells, its kept pairs, and the whole rows of the full screen
+# and of the kernels' fallback).  Each pass allocates one workspace, about
+# 1.6 MiB at this size, and reuses it for every block: fresh temporaries per
+# block cost page faults.
 _BLOCK_PAIRS = 1 << 15
 
 # Pairs each germ keeps in the near list (see PairTable).
@@ -143,10 +141,6 @@ _NEAR = 32
 # Germs per cell, on average, of the grid that builds the near list (see
 # PairTable._grid_rows).
 _CELL_GERMS = 25
-
-# Width of the carrier strips of the Model-2 zero test, in mean germ spacings
-# of a square window: about sqrt(n) / 3 strips (see PairTable._on_carrier).
-_STRIP_SPACINGS = 3
 
 
 def fold_direction(angle: float) -> float:
@@ -499,12 +493,11 @@ class PairTable:
     own, and rows the grid cannot certify are computed whole (see
     :meth:`_grid_rows`); pairs are selected on ``m`` alone, and the list's
     distances and collinear flags are computed once, for the kept pairs.
-    Collinear pairs are found from the sorted directions, and the germs
-    lying exactly on another's carrier (:attr:`_on_carrier`) from carrier
-    strips.  The full genericity screen (:meth:`condition_d`) sweeps every
-    row; the fixed-point solve's screen of its answer (:meth:`screen_answer`)
-    reads the list, and whole rows where the list cannot certify the
-    answer.  Pairs are parallel by the fixed ``PARALLEL_TOL``, as in
+    Collinear pairs are found from the sorted directions.  The full
+    genericity screen (:meth:`condition_d`) sweeps every row; the
+    fixed-point solve's screen of its answer (:meth:`screen_answer`) reads
+    the list, and whole rows where the list cannot certify the answer.
+    Pairs are parallel by the fixed ``PARALLEL_TOL``, as in
     :func:`pair_geometry`.  A point set keeps its table (see
     :func:`shared_pair_table`).
 
@@ -777,106 +770,6 @@ class PairTable:
         return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
 
     @cached_property
-    def _on_carrier(self) -> np.ndarray:
-        """Rows ``i`` with ``d[j, i] == 0`` for some ``j``: germ j lies exactly on i's carrier.
-
-        d[j, i] is zero exactly when its numerator is, ``fl(wx * uy_i) ==
-        fl(wy * ux_i)`` with ``(wx, wy) = g_j - g_i`` (:meth:`_on_line`); the
-        rows of the pairs that pass are computed whole to confirm, because a
-        parallel pair has a zero numerator but is not a zero.
-
-        The pairs tested come from carrier strips (:meth:`_strip_pairs`):
-        a flat carrier (|ux| >= |uy|) against the germs of each strip across x
-        whose y lies within the carrier's span over the strip, a steep one
-        likewise with x and y swapped, each span widened by ``margin``.  The
-        margin holds every pair the exact test passes.  Equal products, each
-        rounded once from a rounded difference, put g_j within about two ulps
-        of |wx| + |wy| of i's carrier, so within sqrt(2) times that along y
-        of a flat carrier (|ux| >= 1/sqrt(2)).  The strip edges, each germ's
-        strip and the spans over the strips are rounded by a few ulps of the
-        coordinates.  Both are far below 1e-12 of max|x| + max|y| plus the
-        two spans.
-        """
-        n, x, y, ux, uy = self.n, self.x, self.y, self.ux, self.uy
-        candidate = np.zeros(n, dtype=bool)
-        if n < 2:
-            return candidate
-        margin = 1e-12 * (np.abs(x).max() + np.abs(y).max() + np.ptp(x) + np.ptp(y))
-        flat = np.abs(ux) >= np.abs(uy)
-        for rows, across, along, rise, run in ((flat, x, y, uy, ux), (~flat, y, x, ux, uy)):
-            rows = np.nonzero(rows)[0]
-            order, pairs = self._strip_pairs(rows, across, along, rise[rows] / run[rows], margin)
-            xs, ys = x[order], y[order]
-            for i, p in pairs:
-                k = self._on_line(i, (xs[p], ys[p]))
-                k = k[order[p[k]] != i[k]]  # germ i itself passes: drop it
-                candidate[i[k]] = True
-        on = np.zeros(n, dtype=bool)
-        for slab in self._row_blocks(np.nonzero(candidate)[0]):
-            on[slab.rows] = (slab.dT == 0).any(axis=1)
-        return on
-
-    def _strip_pairs(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray, slope: np.ndarray, margin: float):
-        """The germs in strip order, and pairs ``(i, p)`` of germ ``i`` and
-        the germ at position ``p`` of that order, in chunks of about
-        ``_BLOCK_PAIRS``: for each row ``i`` the germs of every strip across
-        ``a`` whose ``b`` lies within ``margin`` of the span of i's carrier
-        ``b_i + (a - a_i) * slope_i`` over the strip (|slope| <= 1), and a few
-        germs beside them.
-
-        Each strip is cut along ``b`` into bins of about a quarter germ, and
-        the germs are sorted once by strip and bin.  A span's candidates are
-        the germs of the bins its ends fall in and of those between, read off
-        the bins' cumulative counts: one run of positions.  The bin of a value
-        is monotone in it, so a germ within a span lies in one of those bins.
-        """
-        n = self.n
-        limit = max(_BLOCK_PAIRS, n)
-        a0, b0 = a.min(), b.min()
-        wa, wb = a.max() - a0, b.max() - b0
-        count = max(1, int(math.sqrt(n) / _STRIP_SPACINGS)) if wa > 0 else 1
-        bins = 4 * n // count + 1
-        width, height = wa / count, (wb if wb > 0 else 1.0) / bins
-
-        def cell(v):
-            v = np.subtract(v, b0)
-            v /= height
-            return np.clip(np.floor(v, out=v), 0, bins - 1, out=v).astype(np.intp)
-
-        strip = np.minimum(np.floor((a - a0) / width), count - 1).astype(np.intp) if count > 1 else 0
-        key = strip * bins + cell(b)
-        order = np.argsort(key, kind="stable")
-        ends = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=count * bins))))
-        edges = a0 + width * np.arange(count + 1)
-        offset = bins * np.arange(count)
-
-        def pairs():
-            # A quarter block of (row, strip) spans at a time: each span takes
-            # several temporaries, and its pairs are expanded in blocks.
-            step = max(1, _BLOCK_PAIRS // (4 * count))
-            for lo in range(0, len(rows), step):
-                r = rows[lo:lo + step]
-                at = b[r, None] + (edges - a[r, None]) * slope[lo:lo + step, None]
-                first = ends[cell(np.minimum(at[:, :-1], at[:, 1:]) - margin) + offset].ravel()
-                counts = ends[cell(np.maximum(at[:, :-1], at[:, 1:]) + margin) + offset + 1].ravel() - first
-                for s, e, p in _spans(first, counts, limit):
-                    yield np.repeat(r[np.arange(s, e) // count], counts[s:e]), p
-
-        return order, pairs()
-
-    def _on_line(self, i: np.ndarray, germs: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Positions ``k`` of the pairs ``(i[k], j)``, germ j at ``(germs[0][k],
-        germs[1][k])``, with a zero numerator of ``d[j, i]``: ``fl(wx * uy_i) ==
-        fl(wy * ux_i)``, ``(wx, wy) = g_j - g_i``.  Germ i itself passes.  The
-        two coordinate arrays are overwritten."""
-        wx, wy = germs
-        wx -= self.x[i]
-        wy -= self.y[i]
-        wx *= self.uy[i]
-        wy *= self.ux[i]
-        return np.flatnonzero(wx == wy)
-
-    @cached_property
     def d(self) -> np.ndarray:
         """Growth distances ``d[i, j]``, the whole n x n matrix, built on first use and kept.
 
@@ -904,28 +797,19 @@ class PairTable:
         admissible pair: the list is in (m, j) order and every candidate's
         stop value is its m, so that pair holds the row's smallest.  A list
         answer up to ``bound`` is exact; a row answered past it is recomputed
-        whole.  When no radius is positive (the first step, f = 0) nothing
-        is admissible in Model 1, and in Model 2 only a pair whose ``j`` lies
-        exactly on i's carrier (``d[j, i] == 0``): then only the rows of
-        :attr:`_on_carrier` (found on first need) are read.
+        whole.  So at an assignment with no positive radius, such as f = 0,
+        every row of finite ``bound`` whose list admits no pair (in Model 2,
+        none with ``d[j, i] == 0``) is recomputed whole: O(n^2) pairs, in row
+        blocks.  The fixed-point solve never applies the operator there (see
+        :mod:`lilyseg.solver`).
         """
         _check_model(model)
         bound = self.near.bound
-        top = radii.max(initial=-np.inf)
         slab = self._near_slab
-        if top <= 0:
-            out = np.full(self.n, np.inf)
-            if model == 1 or top < 0:
-                return out
-            if not np.isinf(bound).all():
-                slab = slab.take(np.nonzero(np.isinf(bound) | self._on_carrier)[0])
-            out[slab.rows] = _first_admissible(slab.admissible(radii, 2), slab.m)
-        else:
-            out = _first_admissible(slab.admissible(radii, model), slab.values(model))
+        out = _first_admissible(slab.admissible(radii, model), slab.values(model))
         # A candidate left out of row i stops it at m >= bound[i], so a list
         # answer up to bound[i] is exact.
-        rows = slab.rows
-        for slab in self._row_blocks(rows[out[rows] > bound[rows]]):
+        for slab in self._row_blocks(np.nonzero(out > bound)[0]):
             out[slab.rows] = _row_min(slab.admissible(radii, model), slab.values(model))
         return out
 

@@ -3,10 +3,14 @@
 Three independent routes compute the same assignment on a finite generic
 marked point set:
 
-* ``solve_fixed_point``: iterate the model's monotone stopping operator
-  from the all-zero assignment until two consecutive iterates agree
-  exactly.  Even iterates increase, odd iterates decrease, and the two
-  subsequences pinch the unique solution.  Each step is
+* ``solve_fixed_point``: iterate the model's stopping operator T from the
+  all-infinite assignment until two consecutive iterates agree exactly.
+  T is antitone, so even iterates increase from 0, odd iterates decrease
+  from inf, and the two subsequences pinch the unique solution.  Starting
+  at inf in place of T(0) is sound: every assignment is at most inf, so
+  inf is an upper iterate as T(0) is, and in Model 1 T(0) is inf.  Either
+  way the answer rests only on the comparisons one application makes at
+  the fixed point, which ``PairTable.screen_answer`` checks.  Each step is
   ``PairTable.operator``, which reads every germ's near list of closest
   stops and recomputes only the rows the list cannot certify, so a step
   costs O(n) list entries plus a few whole rows instead of an n x n pass.
@@ -164,28 +168,29 @@ def _solve_fixed_point_array(table: PairTable, model: int) -> Tuple[np.ndarray, 
     n = table.n
     if n == 0:
         return np.zeros(0), 0
-    f = np.zeros(n)
     max_steps = 2 * n + 4
-    prev_even = f
-    prev_odd: Optional[np.ndarray] = None
-    for step in range(1, max_steps + 1):
+    # Iterate 1 is inf, which bounds T(0) from above; step 1 is counted
+    # but makes no application.
+    prev_even, prev_odd = np.zeros(n), np.full(n, np.inf)
+    f = prev_odd
+    for step in range(2, max_steps + 1):
         f_next = table.operator(f, model)
         if np.array_equal(f_next, f):
             return f, step
         # Monotone sandwich: even iterates rise, odd iterates fall, and no
         # even iterate may exceed an odd one.
         if step % 2 == 1:
-            if prev_odd is not None and np.any(f_next > prev_odd):
+            if np.any(f_next > prev_odd):
                 raise NonConvergence("odd iterates must be non-increasing")
             prev_odd = f_next
         else:
             if np.any(f_next < prev_even):
                 raise NonConvergence("even iterates must be non-decreasing")
             prev_even = f_next
-        if prev_odd is not None and np.any(prev_even > prev_odd):
+        if np.any(prev_even > prev_odd):
             raise NonConvergence("even iterate exceeded odd iterate")
         f = f_next
-    raise NonConvergence(f"no fixed point within {max_steps} operator applications")
+    raise NonConvergence(f"no fixed point within {max_steps} steps")
 
 
 def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
@@ -193,8 +198,8 @@ def solve_fixed_point(point_set: MarkedPointSet, model: int) -> Solution:
 
     Every produced radius is drawn from the finite set of raw growth
     distances, so consecutive iterates become exactly equal after finitely
-    many steps; the iteration is capped at ``2n + 4`` applications as a
-    safety net.  The result is verified before being returned.
+    many steps; the iteration is capped at ``2n + 4`` steps as a safety
+    net.  The result is verified before being returned.
 
     Genericity is screened once, at the answer f, in a pass of its own
     before the verification: any collinear pair fails the set, and so does

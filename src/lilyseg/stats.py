@@ -45,7 +45,7 @@ from .errors import (
 from .geometry import _check_model
 from .pointprocess import Disk, Rectangle, Window, _check_intensity, _pinned_disk_radius, sample_pinned, sample_poisson
 from .solver import Solution, solve_fixed_point
-from .structure import StructureReport, _structure, analyze, interior_certified
+from .structure import StructureReport, _check_margin, _structure, analyze, interior_certified
 
 log = logging.getLogger(__name__)
 
@@ -76,8 +76,7 @@ class McConfig:
         _check_model(self.model)
         _check_intensity(self.intensity)
         _check_replications(self.replications)
-        if not self.margin >= 0:
-            raise InvalidInput(f"margin must be >= 0, got {self.margin}")
+        _check_margin(self.margin)
         if isinstance(self.window, Rectangle):
             inner_w = self.window.xmax - self.window.xmin - 2 * self.margin
             inner_h = self.window.ymax - self.window.ymin - 2 * self.margin

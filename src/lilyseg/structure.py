@@ -371,6 +371,12 @@ def contact_count_identity(report: StructureReport, solution: Solution) -> Conta
     )
 
 
+def _check_margin(margin: float) -> None:
+    """Raise :class:`InvalidInput` unless ``margin >= 0``, so NaN raises too."""
+    if not margin >= 0:
+        raise InvalidInput(f"margin must be >= 0, got {margin}")
+
+
 def interior_certified(
     solution: Solution,
     window: Optional[Window],
@@ -385,8 +391,7 @@ def interior_certified(
     window; without a window every germ qualifies (fixture semantics).
     Raises :class:`InvalidInput` unless ``margin >= 0``, so NaN raises too.
     """
-    if not margin >= 0:
-        raise InvalidInput(f"margin must be >= 0, got {margin}")
+    _check_margin(margin)
     radii = solution.radii.to_array()
     if window is None:
         return np.ones(len(radii), dtype=bool)

@@ -35,25 +35,6 @@ def near_reference(table):
     return NearList(j, d[r, j], dT[r, j], collinear[r, j], bound, np.column_stack((ci, cj)))
 
 
-def on_carrier_reference(table):
-    """Rows ``i`` with ``d[j, i] == 0`` for some ``j``, from a stream over all
-    pairs: every pair whose numerator of ``d[j, i]`` is zero,
-    ``fl(wx * uy_i) == fl(wy * ux_i)`` with ``(wx, wy) = g_j - g_i``, is a
-    candidate, and the candidates' rows are computed whole to confirm."""
-    n = table.n
-    step = max(1, geometry._BLOCK_PAIRS // max(n, 1))
-    candidate = np.zeros(n, dtype=bool)
-    for lo in range(0, n, step):
-        r = slice(lo, min(lo + step, n))
-        equal = (table.x - table.x[r, None]) * table.uy[r, None] == (table.y - table.y[r, None]) * table.ux[r, None]
-        equal[np.arange(r.stop - lo), np.arange(lo, r.stop)] = False
-        candidate[r] = equal.any(axis=1)
-    on = np.zeros(n, dtype=bool)
-    for slab in table._row_blocks(np.nonzero(candidate)[0]):
-        on[slab.rows] = (slab.dT == 0).any(axis=1)
-    return on
-
-
 def planted_points(n, seed, offset):
     """``n`` germs with planted collinear, near-collinear and near-parallel pairs."""
     rng = np.random.default_rng(seed)

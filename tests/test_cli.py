@@ -291,9 +291,10 @@ class TestMc:
         ["mc", "--model", 1, "--estimators", "nu,trend", "--sizes", "7,10,-3", "--reps", 3,
          "--window", "20x20", "--margin", 2],
         ["mc", "--model", 1, "--window", "20x20", "--margin", "nan"],
+        ["mc", "--model", 1, "--estimators", "trend", "--sizes", "10,12,14", "--margin", "nan", "--reps", 2],
     ],
     ids=["n_closest_0", "reps_0", "margin_fills_window", "unknown_estimator", "sizes_not_numbers",
-         "sizes_checked_before_nu", "sizes_not_positive", "margin_nan"],
+         "sizes_checked_before_nu", "sizes_not_positive", "margin_nan", "trend_margin_nan"],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, caplog, args):
     # Rejected before the first replication, not counted as aborts, and

@@ -8,6 +8,7 @@ zero area), and with the list width ``geometry._NEAR`` forced to 0, 1 and 2.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -102,7 +103,6 @@ def test_germ_on_a_far_carrier():
     k, n = len(base), len(points)
     table = PairTable(points)
     assert k + 1 not in table.near.j[k]
-    assert np.nonzero(table._on_carrier)[0].tolist() == [k]
     zeros = np.zeros(n)
     got = table.operator(zeros, 2)
     assert got.tobytes() == dense_operator(table, 2, zeros).tobytes()
@@ -115,8 +115,7 @@ def test_production_solve_computes_few_pairs(side, share):
     # The all-pairs sweep that built the list computed n^2 pairs alone.  The
     # 5 x 5 cells about a germ cover about a quarter of a 45 x 45 window, and
     # a seventeenth of a 100 x 100 one.  Every path that computes pairs is
-    # counted: the list's selection on m, the row blocks, and the pairs the
-    # Model-2 zero test tries from its carrier strips.
+    # counted: the list's selection on m and the row blocks.
     mps = sample_poisson(1.0, Rectangle.square(side), seed=1)
     n = len(mps)
     pairs = []
@@ -131,9 +130,21 @@ def test_production_solve_computes_few_pairs(side, share):
         return len(r) * (self.n if c is None else c.shape[-1])
 
     with mock.patch.object(PairTable, "_block", counted(PairTable._block, rows_by_columns)), \
-            mock.patch.object(PairTable, "_m_block", counted(PairTable._m_block, rows_by_columns)), \
-            mock.patch.object(PairTable, "_on_line", counted(PairTable._on_line, lambda self, i, j: len(i))):
+            mock.patch.object(PairTable, "_m_block", counted(PairTable._m_block, rows_by_columns)):
         for model in (1, 2):
             analyze(solve_fixed_point(mps, model))
-    assert "_on_carrier" in vars(shared_pair_table(mps))
     assert 0 < sum(pairs) < share * n * n
+
+
+def test_near_list_adds_no_memory():
+    # The near-list build peaked at 10.55 MiB here (100 x 100 window, seed 1,
+    # tracemalloc above the start), the list itself about 8 MiB.
+    points = sample_poisson(1.0, Rectangle.square(100.0), seed=1).points
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        PairTable(points).near
+        peak = (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * 10.55

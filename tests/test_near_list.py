@@ -314,7 +314,7 @@ def test_operator_on_a_list_of_width_zero(n):
 def test_first_step_on_a_small_set():
     # Germ 1 sits on germ 0's carrier: d[1, 0] == 0, so Model 2 admits the
     # pair at f = 0 and Model 1 does not.  A set of at most two list widths
-    # lists whole rows, and its first step runs no zero test.
+    # lists whole rows.
     table = PairTable(equal_m_row() + [MarkedPoint(5.0, 0.0, math.pi / 2)])
     zeros = np.zeros(table.n)
     assert table.d[3, 0] == 0.0
@@ -323,32 +323,18 @@ def test_first_step_on_a_small_set():
         assert got.tobytes() == dense_operator(table, model, zeros).tobytes()
     assert table.operator(zeros, 2)[0] == 5.0
     assert np.isinf(table.operator(zeros, 1)).all()
-    assert "_on_carrier" not in vars(table)
 
 
-def test_first_step_reads_only_rows_on_a_carrier(far_tie):
+def test_first_step_on_a_far_carrier(far_tie):
     # A 232-germ set (see conftest.far_tie) with a horizontal germ g and,
     # 40 out along its carrier, a vertical one: d[far, g] == 0 exactly, and
-    # no list holds the pair.
+    # no list holds the pair.  Row g is answered whole.
     points = list(far_tie.points) + [MarkedPoint(7.5, 7.25, 0.0), MarkedPoint(47.5, 7.25, math.pi / 2)]
     table = PairTable(points)
     assert table.n - 1 not in table.near.j[table.n - 2]
-    table.near
     zeros = np.zeros(table.n)
-    rows = []
-    block = PairTable._block
-
-    def recorded(self, r, ws, c=None):
-        rows.append(np.array(r))
-        return block(self, r, ws, c)
-
-    with mock.patch.object(PairTable, "_block", recorded):
-        assert np.isinf(table.operator(zeros, 1)).all()
-        assert not rows
-        got = table.operator(zeros, 2)
-    on = np.nonzero(table._on_carrier)[0]
-    assert got.tobytes() == dense_operator(table, 2, zeros).tobytes()
-    assert table.n - 2 in on and np.isfinite(got).sum() == len(on)
-    # Whole rows computed for the first step: the zero test's confirmations
-    # and the operator's fallback, all of them rows on a carrier.
-    assert set(np.concatenate(rows).tolist()) <= set(on.tolist())
+    for model in (1, 2):
+        got = table.operator(zeros, model)
+        assert got.tobytes() == dense_operator(table, model, zeros).tobytes()
+    assert np.isinf(table.operator(zeros, 1)).all()
+    assert table.operator(zeros, 2)[table.n - 2] == 40.0

@@ -1,16 +1,16 @@
-"""The Model-2 zero test from carrier strips against a stream over all pairs.
+"""The operator at f = 0 on germs planted exactly on another's carrier.
 
-``PairTable._on_carrier`` must equal, bytewise, ``conftest.on_carrier_reference``,
-which tests every pair's numerator: on germs planted exactly on far carriers
-at every strip boundary (flat and steep carriers), on carriers at 0, pi/4,
-pi/2 and 3pi/4, on sets of zero x-span or zero y-span, with coordinates
-offset by +-1e6, on two clusters 1000 apart, and on random sets with planted
-germs.  The planted germs pass the exact test ``fl(wx * uy_i) == fl(wy *
-ux_i)``: a germ is nudged by a few ulps until it does.
+A germ j on i's carrier has ``d[j, i] == 0``, so Model 2 admits the pair at
+f = 0 and row i of T(0) is finite.  ``PairTable.operator`` at f = 0 must
+equal, bytewise, the whole-matrix reference ``test_near_list.dense_operator``
+in both models: on carriers at 0, pi/4, pi/2 and 3pi/4, on sets of zero
+x-span or zero y-span, with coordinates offset by +-1e6, on two clusters
+1000 apart, and on random sets with planted germs.  The planted germs pass
+the exact test ``fl(wx * uy_i) == fl(wy * ux_i)``: a germ is nudged by a
+few ulps until it does.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lilyseg import MarkedPoint, Rectangle, sample_poisson
-from lilyseg import geometry
 from lilyseg.geometry import PairTable
 
-from conftest import on_carrier_reference
 from test_near_grid import clusters
+from test_near_list import dense_operator
 
 
 def nudge_onto(owner, theta, partner, moves=("partner", "owner")):
@@ -71,44 +70,17 @@ def planted(owner_xy, theta, t, partner_theta, moves=("partner", "owner")):
     return MarkedPoint(*owner, theta), MarkedPoint(*partner, partner_theta)
 
 
-def assert_matches_stream(points, planted_rows=()):
+def assert_first_step(points, planted_rows=()):
+    """Check T(0) against the reference in both models; return the rows
+    where Model 2's is finite, which hold the planted germs' owners."""
     table = PairTable(points)
-    want = on_carrier_reference(table)
-    got = table._on_carrier
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert want[list(planted_rows)].all()  # the planted germs are zeros
-    return want
-
-
-def strip_edges(n, lo, span):
-    """The strip edges of ``PairTable._strip_pairs`` across a coordinate."""
-    count = max(1, int(math.sqrt(n) / geometry._STRIP_SPACINGS))
-    return lo + (span / count) * np.arange(count + 1)
-
-
-@pytest.mark.parametrize("steep", [False, True], ids=["flat", "steep"])
-def test_germ_on_a_far_carrier_at_every_strip_boundary(steep):
-    # Corners fix the bounding box, so the edges are known before the
-    # partners are placed on them; each owner sits 14 back along its carrier.
-    base = list(sample_poisson(1.0, Rectangle.square(15.0), seed=4).points)
-    base += [MarkedPoint(-30.0, -30.0, 1.0), MarkedPoint(45.0, 45.0, 2.0)]
-    k = len(base)
-    pairs = 8
-    edges = strip_edges(k + 2 * pairs, -30.0, 75.0)[1:-1]
-    assert len(edges) >= 3
-    points = list(base)
-    for m in range(pairs):
-        edge = edges[m % len(edges)]
-        along = 2.0 + 11.0 * m / pairs
-        theta = math.pi / 2 + (0.35 - 0.1 * m) if steep else (0.6 - 0.15 * m) % math.pi
-        xy = (along, edge) if steep else (edge, along)
-        back = (xy[0] - 14.0 * math.cos(theta), xy[1] - 14.0 * math.sin(theta))
-        owner, partner = nudge_onto(back, theta, xy, moves=("owner",))
-        assert partner == xy
-        points += [MarkedPoint(*owner, theta), MarkedPoint(*partner, 1.3 + 0.1 * m)]
-    xs, ys = [p.x for p in points], [p.y for p in points]
-    assert (min(xs), max(xs), min(ys), max(ys)) == (-30.0, 45.0, -30.0, 45.0)
-    assert_matches_stream(points, range(k, len(points), 2))
+    zeros = np.zeros(table.n)
+    for model in (1, 2):
+        got = table.operator(zeros, model)
+        assert got.tobytes() == dense_operator(table, model, zeros).tobytes()
+    on = np.isfinite(got)
+    assert on[list(planted_rows)].all()
+    return on
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4], ids=["0", "pi4", "pi2", "3pi4"])
@@ -120,7 +92,7 @@ def test_carriers_at_axis_and_diagonal_directions(theta):
         points += [owner, partner]
     # A parallel partner has a zero numerator but is no zero.
     owner, partner = planted((1.3, 12.1), theta, 12.0, theta)
-    on = assert_matches_stream(points + [owner, partner], range(k, k + 10, 2))
+    on = assert_first_step(points + [owner, partner], range(k, k + 10, 2))
     assert not on[-2:].any()
 
 
@@ -129,7 +101,7 @@ def test_zero_x_span():
     rng = np.random.default_rng(8)
     ys = rng.permutation(np.arange(100)) * 0.37
     thetas = np.append(rng.uniform(0.0, math.pi, 97), [0.0, math.pi / 2, math.pi / 4])
-    assert not assert_matches_stream([MarkedPoint(3.0, y, t) for y, t in zip(ys, thetas)]).any()
+    assert not assert_first_step([MarkedPoint(3.0, y, t) for y, t in zip(ys, thetas)]).any()
 
 
 def test_zero_y_span():
@@ -139,7 +111,7 @@ def test_zero_y_span():
     xs = rng.permutation(np.arange(100)) * 0.37
     thetas = rng.uniform(0.0, math.pi, 100)
     thetas[::10] = 0.0
-    on = assert_matches_stream([MarkedPoint(x, 5.0, t) for x, t in zip(xs, thetas)])
+    on = assert_first_step([MarkedPoint(x, 5.0, t) for x, t in zip(xs, thetas)])
     assert np.nonzero(on)[0].tolist() == list(range(0, 100, 10))
 
 
@@ -152,7 +124,7 @@ def test_large_offsets(offset):
     for m in range(6):
         owner, partner = planted((offset + 3.0 + 4.0 * m, offset + 25.0 - 3.0 * m), 0.4 + 0.45 * m, 12.0, 2.9 - 0.4 * m)
         points += [owner, partner]
-    assert_matches_stream(points, range(k, len(points), 2))
+    assert_first_step(points, range(k, len(points), 2))
 
 
 def test_two_clusters():
@@ -164,7 +136,7 @@ def test_two_clusters():
         theta = math.atan2(700.0 + 0.5 - oy, 1000.0 + 0.5 - ox)
         owner, partner = planted((ox, oy), theta, math.hypot(1000.0, 700.0) + 0.3 * m, 1.0 + 0.3 * m)
         points += [owner, partner]
-    assert_matches_stream(points, range(k, len(points), 2))
+    assert_first_step(points, range(k, len(points), 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,23 +158,4 @@ def test_random_sets_with_planted_germs(seed, n, planted_count, aspect):
         owner, partner = planted(at, float(theta), float(t), float(partner_theta))
         rows.append(len(points))
         points += [owner, partner]
-    assert_matches_stream(points, rows)
-
-
-def peak_mib(table, attribute):
-    """tracemalloc peak, above the start, of building ``attribute`` of a fresh table."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        getattr(table, attribute)
-        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
-    finally:
-        tracemalloc.stop()
-
-
-def test_zero_test_and_near_list_add_no_memory():
-    # The stream over all pairs peaked at 0.51 MiB and the near-list build at
-    # 10.55 MiB here (100 x 100 window, seed 1), the list itself about 8 MiB.
-    points = sample_poisson(1.0, Rectangle.square(100.0), seed=1).points
-    assert peak_mib(PairTable(points), "_on_carrier") < 4.0
-    assert peak_mib(PairTable(points), "near") < 1.05 * 10.55
+    assert_first_step(points, rows)

@@ -27,7 +27,7 @@ from lilyseg import (
     verify_gmhs,
 )
 from lilyseg import geometry
-from lilyseg.geometry import PARALLEL_TOL, PairTable
+from lilyseg.geometry import PARALLEL_TOL, PairTable, shared_pair_table
 from lilyseg.solver import (
     _candidate_mask,
     read_solution,
@@ -36,6 +36,9 @@ from lilyseg.solver import (
 )
 
 from conftest import F3C_RADII_M1, F3C_RADII_M2, SQRT2
+from test_local_screen import reference_fixed_point
+from test_near_list import dense_operator
+from test_on_carrier import planted
 
 INF = math.inf
 
@@ -106,9 +109,10 @@ class TestOperators:
 
 @pytest.mark.parametrize("width", [0, 32])
 def test_fixed_point_solve_applies_the_operator_once_past_its_steps(width):
-    # The loop makes `iterations` applications and the verification one
-    # more; the screen of the answer makes none.  At width 0 every row the
-    # screen reads is a whole row.
+    # The loop counts its first iterate, inf, as a step without applying the
+    # operator (T(0) is skipped): `iterations - 1` applications, and the
+    # verification one more.  The screen of the answer makes none.  At width
+    # 0 every row the screen reads is a whole row.
     mps = sample_poisson(1.0, Rectangle.square(12.0), seed=2)
     calls, screening = [], []
     operator, screen = PairTable.operator, PairTable.screen_answer
@@ -130,9 +134,42 @@ def test_fixed_point_solve_applies_the_operator_once_past_its_steps(width):
                 mock.patch.object(PairTable, "screen_answer", autospec=True, side_effect=watched) as screened:
             solution = solve_fixed_point(MarkedPointSet(mps.points), model)
         assert solution.iterations > 2
-        assert len(calls) == solution.iterations + 1
+        assert len(calls) == solution.iterations
         assert not any(calls)
         assert screened.call_count == 1
+
+
+def planted_window(side, seed):
+    """A unit-intensity window of side ``side`` with three germs planted
+    exactly on another germ's carrier, and the rows of their owners."""
+    rng = np.random.default_rng(seed)
+    points = list(sample_poisson(1.0, Rectangle.square(side), seed=seed).points)
+    owners = []
+    for _ in range(3):
+        at = tuple(float(v) for v in rng.uniform(-side / 2, side / 2, 2))
+        theta, t, partner_theta = rng.uniform(0.0, math.pi), rng.uniform(-side / 2, side / 2), rng.uniform(0.0, math.pi)
+        owner, partner = planted(at, float(theta), float(t), float(partner_theta))
+        owners.append(len(points))
+        points += [owner, partner]
+    return MarkedPointSet(tuple(points)), owners
+
+
+@pytest.mark.parametrize("side, seeds", [(12.0, range(40)), (30.0, range(3))], ids=["12x12", "30x30"])
+def test_start_at_infinity_matches_a_start_at_zero(side, seeds):
+    # The solve takes inf as its first iterate in place of T(0), which in
+    # Model 2 is finite on the planted owners' rows (d[j, i] == 0 there).
+    # Radii and step counts must equal those of the loop started at f = 0.
+    for seed in seeds:
+        mps, owners = planted_window(side, seed)
+        table = shared_pair_table(mps)
+        assert table.n > 2 * geometry._NEAR  # grid-built lists
+        first = dense_operator(table, 2, np.zeros(table.n))
+        assert np.isfinite(first[owners]).all()
+        for model in (1, 2):
+            solution = solve_fixed_point(mps, model)
+            radii, steps = reference_fixed_point(table, model)
+            assert solution.radii.to_array().tobytes() == radii.tobytes()
+            assert solution.iterations == steps
 
 
 def test_radii_from_array_match_elementwise_floats():

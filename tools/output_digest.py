@@ -24,10 +24,9 @@ seeds 0-9999), which samples through ``sample_pinned``.
 With ``--window SIDE`` the digest is instead over the sets
 ``sample_poisson(1.0, Rectangle.square(SIDE), s)`` for s below ``--seeds``
 (10 by default): sets of about SIDE**2 germs, whose near lists come from the
-cell grid and whose Model-2 solves run the zero test on every row.  For
-each model, ``repr()`` of the radii, method and iteration count of
-``solve_fixed_point``, then of ``stopping_map`` and ``analyze`` of that
-solution, goes into the digest.
+cell grid.  For each model, ``repr()`` of the radii, method and iteration
+count of ``solve_fixed_point``, then of ``stopping_map`` and ``analyze`` of
+that solution, goes into the digest.
 
 With ``--mc`` the digest is instead over ``repr()`` of the estimates of
 ``run_monte_carlo`` on 30x30 windows at unit intensity, Model 1 then
